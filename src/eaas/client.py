@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 import time
@@ -42,6 +43,7 @@ SERVER_KEY_FILE = "server_key.der"
 DEFAULT_MAX_FUTURE_SKEW_MS = 30_000
 DEFAULT_RETRIES = 3
 DEFAULT_TIMEOUT_S = 10.0
+MAX_RETRY_AFTER_S = 60.0     # longer Retry-After values are cut to this
 
 
 @dataclass
@@ -76,7 +78,7 @@ def provision(store_path: Path | str,
             raise StoreCorrupt(f"{key_path}: {exc}") from exc
     else:
         keypair = crypto.generate_keypair()
-        key_path.write_bytes(crypto.private_key_der(keypair))
+        crypto.write_private_key(key_path, keypair)
 
     server_key_path = store / SERVER_KEY_FILE
     if server_pubkey_source is not None:
@@ -119,13 +121,21 @@ def build_request(identity: ClientIdentity, delta_s: int, *,
     pub_der = identity.keypair.public_der
     sigma1 = crypto.sign(identity.keypair.secret, crypto.REQUEST_TAG,
                          crypto.request_signing_bytes(pub_der, delta_s))
+    return seal_request(identity.server_public, pub_der, delta_s, sigma1,
+                        rng=rng, max_delta_s=max_delta_s), t1
+
+
+def seal_request(server_public: rsa.RSAPublicKey, pub_der: bytes,
+                 delta_s: int, sigma1: bytes, *, rng: crypto.Rng,
+                 max_delta_s: int) -> bytes:
+    """The POST body: fingerprint(pub_der) || the request sealed for the
+    server. Fields are taken as given, even ones sigma1 does not cover."""
     plaintext = wire.encode_request(
         wire.EntropyRequest(client_pub_key=pub_der, delta_s=delta_s,
                             sigma1=sigma1),
         max_delta_s)
-    envelope = crypto.seal_message(identity.server_public, plaintext, rng)
-    body = wire.fingerprint(pub_der) + wire.encode_envelope(envelope)
-    return body, t1
+    envelope = crypto.seal_message(server_public, plaintext, rng)
+    return wire.fingerprint(pub_der) + wire.encode_envelope(envelope)
 
 
 def verify_response(envelope_bytes: bytes, *, t1: int, delta_s: int,
@@ -200,7 +210,16 @@ def request_entropy(identity: ClientIdentity, server_url: str,
             sleep(0.2 * (attempt + 1))
             continue
         if status == 429:
-            delay = float(headers.get("Retry-After", "1"))
+            # Retry-After is unauthenticated: only a finite, non-negative
+            # delay is honoured, and at most MAX_RETRY_AFTER_S of it.
+            value = headers.get("Retry-After", "1")
+            try:
+                delay = float(value)
+            except ValueError:
+                delay = math.nan
+            if not math.isfinite(delay) or delay < 0:
+                raise TransportError(f"bad Retry-After {value[:32]!r}")
+            delay = min(delay, MAX_RETRY_AFTER_S)
             log.info("throttled, retrying in %.1fs", delay)
             last_error = TransportError("throttled")
             sleep(delay)

@@ -26,6 +26,7 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterator
 
 from .errors import ConfigError
 from .sources import SOURCE_KINDS, SourceSpec
@@ -94,9 +95,9 @@ def _parse_listen(value: str) -> tuple[str, int]:
     return host, _parse_int(port, "listen port")
 
 
-def parse_config(text: str, base_dir: Path | None = None) -> ServerConfig:
-    cfg = ServerConfig()
-    raw_sources: dict[str, dict[str, str]] = {}
+def read_key_values(text: str) -> Iterator[tuple[int, str, str]]:
+    """Yield (lineno, key, value) per ``key = value`` line of a config or
+    scenario file; ``#`` starts a comment, blank lines are skipped."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -104,7 +105,13 @@ def parse_config(text: str, base_dir: Path | None = None) -> ServerConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key = value")
         key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
+        yield lineno, key.strip(), value.strip()
+
+
+def parse_config(text: str, base_dir: Path | None = None) -> ServerConfig:
+    cfg = ServerConfig()
+    raw_sources: dict[str, dict[str, str]] = {}
+    for lineno, key, value in read_key_values(text):
         if key.startswith("source."):
             parts = key.split(".")
             if len(parts) != 3 or parts[2] not in _SOURCE_FIELDS:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
@@ -77,41 +78,44 @@ def private_key_der(keypair: KeyPair) -> bytes:
         serialization.NoEncryption())
 
 
-def load_public_key(data: bytes) -> rsa.RSAPublicKey:
-    """Load a public key from DER (or PEM text armor)."""
-    key = None
-    for loader in (serialization.load_der_public_key,
-                   serialization.load_pem_public_key):
+def write_private_key(path: Path, keypair: KeyPair) -> None:
+    """Write the private key as DER to a new file, mode 0600; O_EXCL
+    raises FileExistsError rather than overwrite an existing file."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
+    with os.fdopen(fd, "wb") as f:
+        f.write(private_key_der(keypair))
+
+
+def _load_rsa_key(data: bytes, loaders, key_type, what: str):
+    """Try each loader (DER, then PEM) and accept only an RSA-3072 key."""
+    for loader in loaders:
         try:
             key = loader(data)
             break
         except Exception:
             continue
-    if key is None:
-        raise InvalidKey("public key does not parse as DER or PEM")
-    if not isinstance(key, rsa.RSAPublicKey):
-        raise InvalidKey("public key is not RSA")
+    else:
+        raise InvalidKey(f"{what} does not parse as DER or PEM")
+    if not isinstance(key, key_type):
+        raise InvalidKey(f"{what} is not RSA")
     if key.key_size != RSA_BITS:
         raise InvalidKey(f"expected {RSA_BITS}-bit key, got {key.key_size}")
     return key
 
 
+def load_public_key(data: bytes) -> rsa.RSAPublicKey:
+    """Load a public key from DER (or PEM text armor)."""
+    return _load_rsa_key(data, (serialization.load_der_public_key,
+                                serialization.load_pem_public_key),
+                         rsa.RSAPublicKey, "public key")
+
+
 def load_private_key(data: bytes) -> KeyPair:
     """Load a private key from DER (or PEM text armor)."""
-    key = None
-    for loader in (serialization.load_der_private_key,
-                   serialization.load_pem_private_key):
-        try:
-            key = loader(data, password=None)
-            break
-        except Exception:
-            continue
-    if key is None:
-        raise InvalidKey("private key does not parse as DER or PEM")
-    if not isinstance(key, rsa.RSAPrivateKey):
-        raise InvalidKey("private key is not RSA")
-    if key.key_size != RSA_BITS:
-        raise InvalidKey(f"expected {RSA_BITS}-bit key, got {key.key_size}")
+    key = _load_rsa_key(
+        data, (lambda d: serialization.load_der_private_key(d, None),
+               lambda d: serialization.load_pem_private_key(d, None)),
+        rsa.RSAPrivateKey, "private key")
     return KeyPair(secret=key, public=key.public_key())
 
 
@@ -200,14 +204,18 @@ def open_payload(session_key: bytes, nonce: bytes, ciphertext: bytes) -> bytes:
 
 def seal_message(recipient: rsa.RSAPublicKey, plaintext: bytes,
                  rng: Rng = os.urandom,
-                 signer: rsa.RSAPrivateKey | None = None) -> SealedEnvelope:
-    """Seal plaintext under a fresh session key wrapped for recipient.
+                 signer: rsa.RSAPrivateKey | None = None, *,
+                 session_key: bytes | None = None) -> SealedEnvelope:
+    """Seal plaintext under a session key wrapped for recipient.
 
-    With a signer, sigma2 covers wrapped_key || nonce || ciphertext under
-    RESPONSE_TAG; without one the envelope is left unsigned (request
-    direction).
+    The session key is drawn from rng unless one is given: the TA passes
+    a key extracted from its entropy pool. The nonce is always the next
+    rng draw. With a signer, sigma2 covers wrapped_key || nonce ||
+    ciphertext under RESPONSE_TAG; without one the envelope is left
+    unsigned (request direction).
     """
-    session_key = rng(SESSION_KEY_LEN)
+    if session_key is None:
+        session_key = rng(SESSION_KEY_LEN)
     nonce = rng(NONCE_LEN)
     ciphertext = seal_payload(session_key, nonce, plaintext)
     wrapped = wrap_key(recipient, session_key)

@@ -21,13 +21,15 @@ import json
 import logging
 import random
 import sys
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 
 from . import client as client_mod
 from . import crypto, wire
-from .config import DEFAULT_PLATFORM_MEASUREMENT, ServerConfig
+from .config import (DEFAULT_PLATFORM_MEASUREMENT, ServerConfig,
+                     read_key_values)
 from .errors import (
     BadServerSignature,
     ConfigError,
@@ -52,7 +54,6 @@ __all__ = [
     "depletion_scenario",
     "run_adversary",
     "run_fleet",
-    "stats_suite",
 ]
 
 SIM_EPOCH_MS = 1_750_000_000_000
@@ -143,10 +144,7 @@ class ScenarioReport:
     stats: dict[str, dict] | None = None
 
     def outcome_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for o in self.outcomes:
-            counts[o.outcome] = counts.get(o.outcome, 0) + 1
-        return dict(sorted(counts.items()))
+        return dict(sorted(Counter(o.outcome for o in self.outcomes).items()))
 
     def to_text(self) -> str:
         lines = ["# eaas-sim report v1",
@@ -247,31 +245,77 @@ class _Simulation:
         ]
         self.credit_floor: int | None = None
         self.delivered = bytearray()
+        # Channel adversary: actions by target request index, and the
+        # replies kept for a replay into the request after their own.
+        self.actions: dict[int, list[AdversaryAction]] = {}
+        for action in spec.actions:
+            self.actions.setdefault(action.target, []).append(action)
+        self.replay_cache: dict[int, bytes] = {}
 
     def note_credit(self) -> None:
         credit = self.pool.credited_bits
         if self.credit_floor is None or credit < self.credit_floor:
             self.credit_floor = credit
 
-    def one_round_trip(self, identity: client_mod.ClientIdentity,
-                       delta_s: int | None = None) -> str:
-        """Build, serve, verify one honest request; returns outcome."""
-        delta_s = self.spec.delta_s if delta_s is None else delta_s
+    def round_trip(self, identity: client_mod.ClientIdentity,
+                   index: int) -> str:
+        """Build request index, apply the adversary actions aimed at it,
+        serve and verify it; returns the outcome. With no actions this is
+        an honest round trip."""
+        spec = self.spec
+        todays = self.actions.get(index, [])
+        kinds = [a.kind for a in todays]
         body, t1 = client_mod.build_request(
-            identity, delta_s, rng=self.rng.randbytes,
-            clock=self.clock.now, max_delta_s=self.spec.max_delta_s)
+            identity, spec.delta_s, rng=self.rng.randbytes,
+            clock=self.clock.now, max_delta_s=spec.max_delta_s)
+
+        request_tamper = next(
+            (k for k in kinds if k in _REQUEST_TAMPERS), None)
+        if request_tamper is not None:
+            body = _tampered_request_body(
+                identity, spec.delta_s, spec.max_delta_s, request_tamper,
+                self.rng)
+        if AdversaryKind.TAMPER_HINT in kinds:
+            body = _flip_byte(
+                body, self.rng.randrange(wire.FINGERPRINT_LEN), self.rng)
+        if AdversaryKind.TAMPER_REQUEST_CIPHERTEXT in kinds:
+            hint, env = (body[:wire.FINGERPRINT_LEN],
+                         body[wire.FINGERPRINT_LEN:])
+            body = hint + _tamper_envelope_field(
+                env, AdversaryKind.TAMPER_REQUEST_CIPHERTEXT, self.rng)
+
         self.clock.advance(1)
+        if AdversaryKind.DROP in kinds:
+            return "transport-failure"
+        if any(a.kind is AdversaryKind.REPLAY_RESPONSE
+               for a in self.actions.get(index - 1, [])):
+            # Adversary answers with the previous request's response
+            # instead of forwarding to the server; if that request never
+            # produced one, the client sees nothing.
+            reply = self.replay_cache.get(index - 1)
+            if reply is None:
+                return "transport-failure"
+            return self.verify(identity, reply, t1)
+
         status, reply, _ = self.service.handle_entropy(body)
         self.note_credit()
         if status != 200:
             return reply.decode("ascii", "replace")
-        return self.verify(identity, reply, t1, delta_s)
+        if AdversaryKind.REPLAY_RESPONSE in kinds:
+            self.replay_cache[index] = reply
+        for kind in kinds:
+            if kind in _RESPONSE_TAMPERS:
+                reply = _tamper_envelope_field(reply, kind, self.rng)
+        for action in todays:
+            if action.kind is AdversaryKind.DELAY:
+                self.clock.advance(action.parameter or 1000)
+        return self.verify(identity, reply, t1)
 
     def verify(self, identity: client_mod.ClientIdentity, reply: bytes,
-               t1: int, delta_s: int) -> str:
+               t1: int) -> str:
         try:
             entropy = client_mod.verify_response(
-                reply, t1=t1, delta_s=delta_s,
+                reply, t1=t1, delta_s=self.spec.delta_s,
                 server_public=self.server_public,
                 secret_key=identity.keypair.secret,
                 now=self.clock.now())
@@ -310,17 +354,24 @@ def run_fleet(n_clients: int, requests_per_client: int, delta_s: int,
     spec = replace(spec or ScenarioSpec(), kind="fleet",
                    n_clients=n_clients,
                    requests_per_client=requests_per_client,
-                   delta_s=delta_s)
+                   delta_s=delta_s, actions=[])
+    return _run_schedule(spec, seed, keypairs)
+
+
+def _run_schedule(spec: ScenarioSpec, seed: int,
+                  keypairs: list[crypto.KeyPair] | None) -> ScenarioReport:
+    """The fleet schedule, through the channel adversary of spec.actions
+    (none for an honest fleet)."""
     sim = _Simulation(spec, seed, keypairs=keypairs)
     outcomes = []
     index = 0
-    for _ in range(requests_per_client):
+    for _ in range(spec.requests_per_client):
         for ci, identity in enumerate(sim.identities):
-            outcome = sim.one_round_trip(identity)
+            outcome = sim.round_trip(identity, index)
             outcomes.append(RequestOutcome(ci, index, outcome))
             index += 1
             sim.clock.advance(spec.step_ms)
-    return sim.report("fleet", outcomes, with_stats=spec.collect_entropy)
+    return sim.report(spec.kind, outcomes, with_stats=spec.collect_entropy)
 
 
 # --- adversary -------------------------------------------------------------
@@ -334,33 +385,26 @@ def _flip_byte(data: bytes, pos: int, rng: random.Random) -> bytes:
 
 def _tampered_request_body(identity: client_mod.ClientIdentity,
                            delta_s: int, max_delta_s: int,
-                           server_public, kind: AdversaryKind,
-                           rng: random.Random) -> bytes:
+                           kind: AdversaryKind, rng: random.Random) -> bytes:
     """White-box request tamper: mutate one signed field in the plaintext
-    request, re-seal under the server key, and recompute the hint where
-    the mutated field is the key itself."""
+    request and re-seal it under the server key. The hint follows the
+    (possibly mutated) key, so the signature binding is what must fail."""
     pub_der = identity.keypair.public_der
     sigma1 = crypto.sign(identity.keypair.secret, crypto.REQUEST_TAG,
                          crypto.request_signing_bytes(pub_der, delta_s))
-    hint = wire.fingerprint(pub_der)
     if kind is AdversaryKind.TAMPER_PK:
-        # Flip deep inside the modulus so the key still parses; the
-        # signature binding is what must catch the swap.
+        # Flip deep inside the modulus so the key still parses.
         pos = rng.randrange(len(pub_der) - 120, len(pub_der) - 10)
         pub_der = _flip_byte(pub_der, pos, rng)
-        hint = wire.fingerprint(pub_der)
     elif kind is AdversaryKind.TAMPER_DELTA_S:
         delta_s = delta_s + 1 if delta_s < max_delta_s else delta_s - 1
     elif kind is AdversaryKind.TAMPER_SIGMA1:
         sigma1 = _flip_byte(sigma1, rng.randrange(len(sigma1)), rng)
     else:
         raise ValueError(f"not a request tamper kind: {kind}")
-    plaintext = wire.encode_request(
-        wire.EntropyRequest(client_pub_key=pub_der, delta_s=delta_s,
-                            sigma1=sigma1),
-        max_delta_s)
-    env = crypto.seal_message(server_public, plaintext, rng.randbytes)
-    return hint + wire.encode_envelope(env)
+    return client_mod.seal_request(identity.server_public, pub_der, delta_s,
+                                   sigma1, rng=rng.randbytes,
+                                   max_delta_s=max_delta_s)
 
 
 def _tamper_envelope_field(encoded: bytes, kind: AdversaryKind,
@@ -400,89 +444,10 @@ def run_adversary(scenario: ScenarioSpec, actions: list[AdversaryAction],
                   ) -> ScenarioReport:
     """Replay the fleet schedule with a channel adversary applying the
     given actions; the report records which failure each action caused."""
-    spec = replace(scenario, kind="adversary", actions=list(actions))
-    sim = _Simulation(spec, seed, keypairs=keypairs)
-    by_target: dict[int, list[AdversaryAction]] = {}
-    for action in actions:
-        by_target.setdefault(action.target, []).append(action)
-
-    replay_cache: dict[int, bytes] = {}
-    replay_into: dict[int, int] = {}   # request index -> source index
-    for action in actions:
-        if action.kind is AdversaryKind.REPLAY_RESPONSE:
-            replay_into[action.target + 1] = action.target
-
-    outcomes = []
-    index = 0
-    for _ in range(spec.requests_per_client):
-        for ci, identity in enumerate(sim.identities):
-            todays = by_target.get(index, [])
-            kinds = [a.kind for a in todays]
-
-            body, t1 = client_mod.build_request(
-                identity, spec.delta_s, rng=sim.rng.randbytes,
-                clock=sim.clock.now, max_delta_s=spec.max_delta_s)
-
-            request_tamper = next(
-                (k for k in kinds if k in _REQUEST_TAMPERS), None)
-            if request_tamper is not None:
-                body = _tampered_request_body(
-                    identity, spec.delta_s, spec.max_delta_s,
-                    sim.server_public, request_tamper, sim.rng)
-            if AdversaryKind.TAMPER_HINT in kinds:
-                body = _flip_byte(
-                    body, sim.rng.randrange(wire.FINGERPRINT_LEN), sim.rng)
-            if AdversaryKind.TAMPER_REQUEST_CIPHERTEXT in kinds:
-                hint, env = (body[:wire.FINGERPRINT_LEN],
-                             body[wire.FINGERPRINT_LEN:])
-                body = hint + _tamper_envelope_field(
-                    env, AdversaryKind.TAMPER_REQUEST_CIPHERTEXT, sim.rng)
-
-            if AdversaryKind.DROP in kinds:
-                outcomes.append(
-                    RequestOutcome(ci, index, "transport-failure"))
-                index += 1
-                sim.clock.advance(1 + spec.step_ms)
-                continue
-
-            if index in replay_into:
-                # Adversary answers with a cached earlier response
-                # instead of forwarding to the server; if the source
-                # request never produced one, the client sees nothing.
-                sim.clock.advance(1)
-                reply = replay_cache.get(replay_into[index])
-                if reply is None:
-                    outcome = "transport-failure"
-                else:
-                    outcome = sim.verify(identity, reply, t1, spec.delta_s)
-                outcomes.append(RequestOutcome(ci, index, outcome))
-                index += 1
-                sim.clock.advance(spec.step_ms)
-                continue
-
-            sim.clock.advance(1)
-            status, reply, _ = sim.service.handle_entropy(body)
-            sim.note_credit()
-            if status != 200:
-                outcomes.append(RequestOutcome(
-                    ci, index, reply.decode("ascii", "replace")))
-                index += 1
-                sim.clock.advance(spec.step_ms)
-                continue
-
-            replay_cache[index] = reply
-            for kind in kinds:
-                if kind in _RESPONSE_TAMPERS:
-                    reply = _tamper_envelope_field(reply, kind, sim.rng)
-            for action in todays:
-                if action.kind is AdversaryKind.DELAY:
-                    sim.clock.advance(action.parameter or 1000)
-
-            outcome = sim.verify(identity, reply, t1, spec.delta_s)
-            outcomes.append(RequestOutcome(ci, index, outcome))
-            index += 1
-            sim.clock.advance(spec.step_ms)
-    return sim.report("adversary", outcomes)
+    # Adversary reports carry no statistics, so nothing is collected.
+    spec = replace(scenario, kind="adversary", actions=list(actions),
+                   collect_entropy=False)
+    return _run_schedule(spec, seed, keypairs)
 
 
 # --- depletion --------------------------------------------------------------
@@ -497,7 +462,8 @@ def depletion_scenario(flood_rate: int, duration_s: int,
     clients make one request each, spread across the run."""
     spec = replace(spec or ScenarioSpec(source_max_rate=Fraction(256)),
                    kind="depletion", flood_rate=flood_rate,
-                   duration_s=duration_s, honest_clients=honest_clients)
+                   duration_s=duration_s, honest_clients=honest_clients,
+                   actions=[])
     sim = _Simulation(spec, seed, keypairs=keypairs,
                       n_identities=honest_clients + 1)
     attacker, honest = sim.identities[0], sim.identities[1:]
@@ -519,7 +485,6 @@ def depletion_scenario(flood_rate: int, duration_s: int,
     events.sort(key=lambda e: (e[0], e[2] == "honest", e[1]))
 
     outcomes = []
-    attacker_granted = 0
     base = sim.clock.now()
     for index, (t, who, role) in enumerate(events):
         if base + t > sim.clock.now():
@@ -527,16 +492,15 @@ def depletion_scenario(flood_rate: int, duration_s: int,
         if role == "attack":
             status, reply, _ = sim.service.handle_entropy(attack_body)
             sim.note_credit()
-            if status == 200:
-                attacker_granted += 1
             outcome = ("granted" if status == 200
                        else reply.decode("ascii", "replace"))
             outcomes.append(RequestOutcome(-1, index, f"attacker-{outcome}"))
         else:
-            outcome = sim.one_round_trip(honest[who])
+            outcome = sim.round_trip(honest[who], index)
             outcomes.append(RequestOutcome(who, index, outcome))
     report = sim.report("depletion", outcomes)
-    report.counters["attacker_granted"] = attacker_granted
+    report.counters["attacker_granted"] = report.outcome_counts().get(
+        "attacker-granted", 0)
     return report
 
 
@@ -547,14 +511,7 @@ def parse_scenario(text: str) -> ScenarioSpec:
     """Flat key = value scenario description; see sample files."""
     spec = ScenarioSpec()
     actions: list[tuple[int, AdversaryAction]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key = value")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
+    for lineno, key, value in read_key_values(text):
         try:
             if key.startswith("action."):
                 order = int(key.split(".", 1)[1])
@@ -574,10 +531,8 @@ def parse_scenario(text: str) -> ScenarioSpec:
             elif key in ("throttle_capacity", "throttle_refill_rate",
                          "source_density", "source_max_rate"):
                 setattr(spec, key, Fraction(value))
-            elif key == "throttle_enabled":
-                spec.throttle_enabled = value.lower() in ("1", "true", "yes")
-            elif key == "collect_entropy":
-                spec.collect_entropy = value.lower() in ("1", "true", "yes")
+            elif key in ("throttle_enabled", "collect_entropy"):
+                setattr(spec, key, value.lower() in ("1", "true", "yes"))
             else:
                 raise ConfigError(f"line {lineno}: unknown key {key!r}")
         except (ValueError, ZeroDivisionError) as exc:

@@ -170,9 +170,10 @@ class EntropyPool:
 
     # -- harvesting ----------------------------------------------------------
 
-    def harvest(self, needed_bits: int, deadline_ms: int) -> PoolState:
+    def harvest(self, needed_bits: int, deadline_ms: int) -> None:
         """Pull from healthy sources round-robin until the pool holds
         needed_bits of credit or the deadline (a duration) passes.
+        Returns nothing; ``status()`` reports the resulting state.
 
         The pool never blocks waiting for source allowance: a full pass
         that credits nothing raises EntropyDepleted, so callers in
@@ -198,7 +199,6 @@ class EntropyPool:
                     raise EntropyDepleted(
                         f"sources exhausted with "
                         f"{self._credited_bits}/{needed_bits} bits")
-            return self._snapshot()
 
     def _pull_block(self, source: _Source) -> int:
         """Pull one block if allowance permits; returns bits credited."""
@@ -256,16 +256,13 @@ class EntropyPool:
 
     # -- inspection ----------------------------------------------------------
 
-    def _snapshot(self) -> PoolState:
-        return PoolState(
-            buffered=self._buffered,
-            credited_bits=self._credited_bits,
-            per_source_health={sid: s.health
-                               for sid, s in self._sources.items()})
-
     def status(self) -> PoolState:
         with self._lock:
-            return self._snapshot()
+            return PoolState(
+                buffered=self._buffered,
+                credited_bits=self._credited_bits,
+                per_source_health={sid: s.health
+                                   for sid, s in self._sources.items()})
 
     @property
     def credited_bits(self) -> int:

@@ -160,7 +160,7 @@ def load_or_create_keypair(key_file: Path | None) -> crypto.KeyPair:
         return keypair
     keypair = crypto.generate_keypair()
     key_file.parent.mkdir(parents=True, exist_ok=True)
-    key_file.write_bytes(crypto.private_key_der(keypair))
+    crypto.write_private_key(key_file, keypair)
     log.info("generated new identity key at %s fp=%s", key_file,
              wire.fingerprint(keypair.public_der)[:8].hex())
     return keypair
@@ -198,9 +198,20 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length", "0"))
-        return self.rfile.read(length)
+    def _read_body(self) -> bytes | None:
+        """Read a body of strict Content-Length (digits, <= MAX_BODY_LEN);
+        else reply 400 or 413 unread, close, and return None."""
+        value = self.headers.get("Content-Length", "0")
+        if not (value.isascii() and value.isdigit()):
+            self._reply(400, b"malformed", {"Connection": "close"})
+            return None
+        digits = value.lstrip("0") or "0"
+        # Length check first: int() refuses strings over 4300 digits.
+        if (len(digits) > len(str(wire.MAX_BODY_LEN))
+                or int(digits) > wire.MAX_BODY_LEN):
+            self._reply(413, b"too-large", {"Connection": "close"})
+            return None
+        return self.rfile.read(int(digits))
 
     def do_GET(self):
         if self.path == "/v1/pubkey":
@@ -210,6 +221,8 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_POST(self):
         body = self._read_body()
+        if body is None:
+            return
         if self.path == "/v1/entropy":
             status, reply, headers = self.server.service.handle_entropy(body)
         elif self.path == "/v1/attest":

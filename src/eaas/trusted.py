@@ -112,9 +112,7 @@ class TrustedApplication:
                     body = self._handle_request(payload)
                 else:
                     body = self._attest(payload)
-            except MalformedMessage:
-                return bytes([TaStatus.MALFORMED])
-            except InvalidKey:
+            except (MalformedMessage, InvalidKey):
                 return bytes([TaStatus.MALFORMED])
             except (UnwrapFailure, OpenFailure):
                 return bytes([TaStatus.DECRYPT_FAILURE])
@@ -155,7 +153,7 @@ class TrustedApplication:
             raise BadSignature("sigma1 does not verify")
 
         # Harvest covers the requested entropy plus the response session
-        # key, which is also drawn from the pool; one extraction, split.
+        # key, also from the pool (one extraction, split) for seal_message.
         needed = 8 * (request.delta_s + crypto.SESSION_KEY_LEN)
         self._pool.harvest(needed, self._harvest_deadline_ms)
         out = self._pool.extract(request.delta_s + crypto.SESSION_KEY_LEN)
@@ -164,15 +162,10 @@ class TrustedApplication:
         t2 = self._clock()
         payload_bytes = wire.encode_response_payload(
             wire.EntropyResponse(t2=t2, entropy=entropy))
-        nonce = self._rng(wire.NONCE_LEN)
-        ciphertext = crypto.seal_payload(session_key, nonce, payload_bytes)
-        wrapped = crypto.wrap_key(client_pub, session_key)
-        sigma2 = crypto.sign(
-            self._identity.secret, crypto.RESPONSE_TAG,
-            crypto.envelope_signing_bytes(wrapped, nonce, ciphertext))
-        return wire.encode_envelope(wire.SealedEnvelope(
-            wrapped_key=wrapped, nonce=nonce, ciphertext=ciphertext,
-            sigma2=sigma2))
+        envelope = crypto.seal_message(
+            client_pub, payload_bytes, self._rng,
+            signer=self._identity.secret, session_key=session_key)
+        return wire.encode_envelope(envelope)
 
     def _attest(self, payload: bytes) -> bytes:
         if len(payload) != wire.QUOTE_NONCE_LEN:

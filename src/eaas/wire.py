@@ -57,6 +57,13 @@ DEFAULT_MAX_DELTA_S = 4096
 
 _PROLOGUE = struct.Struct(">4sBB")
 
+# Longest HTTP POST body the format can hold: the hint, then an envelope
+# (sigma2 included) sealing a request with a u16-maximal public key.
+MAX_BODY_LEN = (
+    FINGERPRINT_LEN + _PROLOGUE.size + WRAPPED_KEY_LEN + NONCE_LEN + 4
+    + (_PROLOGUE.size + 2 + 0xFFFF + 4 + 2 + SIGNATURE_LEN)
+    + GCM_TAG_LEN + 1 + SIGNATURE_LEN)
+
 
 @dataclass(frozen=True)
 class EntropyRequest:

@@ -10,6 +10,7 @@ import pytest
 
 from eaas import crypto
 from eaas.config import DEFAULT_PLATFORM_MEASUREMENT, ServerConfig
+from eaas.harness import SimClock
 from eaas.pool import EntropyPool, SourceDescriptor
 from eaas.server import EntropyService
 from eaas.trusted import TrustedApplication
@@ -30,17 +31,6 @@ def other_keypair():
     return crypto.generate_keypair()
 
 
-class ManualClock:
-    def __init__(self, start_ms: int = 1_750_000_000_000):
-        self.t = start_ms
-
-    def now(self) -> int:
-        return self.t
-
-    def advance(self, ms: int) -> None:
-        self.t += ms
-
-
 def seeded_generator(seed: int):
     return random.Random(seed).randbytes
 
@@ -48,7 +38,7 @@ def seeded_generator(seed: int):
 def make_pool(clock, *, seed: int = 0, n_sources: int = 2,
               density: Fraction = Fraction(1),
               max_rate: Fraction = Fraction(1 << 20)) -> EntropyPool:
-    pool = EntropyPool(clock.now if isinstance(clock, ManualClock) else clock)
+    pool = EntropyPool(clock.now if isinstance(clock, SimClock) else clock)
     for i in range(n_sources):
         pool.register_source(
             SourceDescriptor(source_id=f"src{i}", declared_density=density,
@@ -64,7 +54,7 @@ def make_stack(server_keypair, *, seed: int = 0, max_delta_s: int = 4096,
                density: Fraction = Fraction(1),
                max_rate: Fraction = Fraction(1 << 20)):
     """An injected-clock (clock, pool, ta, service) stack on one keypair."""
-    clock = ManualClock()
+    clock = SimClock()
     pool = make_pool(clock, seed=seed, n_sources=n_sources, density=density,
                      max_rate=max_rate)
     rng = seeded_generator(seed + 7777)

@@ -34,7 +34,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import ManualClock, make_pool, make_stack, seeded_generator
+from conftest import make_pool, make_stack, seeded_generator
 from eaas import client as client_mod
 from eaas import crypto, wire
 from eaas.config import DEFAULT_PLATFORM_MEASUREMENT
@@ -45,6 +45,7 @@ from eaas.errors import (
     QuoteRejected,
     Stale,
 )
+from eaas.harness import SimClock
 from eaas.pool import EntropyPool, HealthState, SourceDescriptor
 from eaas.server import EntropyService, ThrottleTable
 from eaas.stats import stats_suite
@@ -341,7 +342,7 @@ def test_criterion_4_throttle_oracle():
 
 def test_criterion_5_extraction_conservation():
     rng = random.Random(50_000)
-    clock = ManualClock()
+    clock = SimClock()
     pool = make_pool(clock, seed=50, n_sources=2, density=Fraction(2, 3))
     over_credit_rejections = 0
     for step in range(10_000):
@@ -447,7 +448,7 @@ def test_criterion_7_statistical_suite(server_keypair, client_keypair):
 
 def test_criterion_7_stuck_source_among_three(server_keypair,
                                               client_keypair):
-    clock = ManualClock()
+    clock = SimClock()
     pool = EntropyPool(clock.now)
     stuck_pulls = 0
 
@@ -502,7 +503,7 @@ def test_criterion_7_stuck_source_among_three(server_keypair,
 # --- criterion 8 -------------------------------------------------------------
 
 def test_criterion_8_attestation(server_keypair):
-    clock = ManualClock()
+    clock = SimClock()
     pool = make_pool(clock, seed=88)
     ta = TrustedApplication(server_keypair, pool,
                             sm_measurement=DEFAULT_PLATFORM_MEASUREMENT,

@@ -4,6 +4,7 @@ in its fixed order, and retry discipline."""
 from __future__ import annotations
 
 import os
+import stat
 from dataclasses import replace
 from fractions import Fraction
 
@@ -35,6 +36,8 @@ class TestProvision:
         identity = client_mod.provision(tmp_path / "s",
                                         server_keypair.public_der)
         assert (tmp_path / "s" / "client_key.der").exists()
+        assert stat.S_IMODE(
+            (tmp_path / "s" / "client_key.der").stat().st_mode) == 0o600
         assert (tmp_path / "s" / "server_key.der").exists()
         assert len(identity.fingerprint) == 32
 
@@ -346,6 +349,31 @@ class TestRequestEntropy:
                                        clock=lambda: 1,
                                        sleep=lambda s: None)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("value", ["abc", "nan", "inf", "-1"])
+    def test_bad_retry_after_is_transport_error(self, monkeypatch, value,
+                                                server_keypair,
+                                                client_keypair):
+        identity = make_identity(client_keypair, server_keypair)
+        monkeypatch.setattr(client_mod, "_post", lambda url, body, timeout:
+                            (429, b"throttled", {"Retry-After": value}))
+        sleeps = []
+        with pytest.raises(TransportError, match="Retry-After"):
+            client_mod.request_entropy(identity, "http://unit.test", 32,
+                                       sleep=sleeps.append)
+        assert sleeps == []
+
+    def test_huge_retry_after_is_capped(self, monkeypatch, server_keypair,
+                                        client_keypair):
+        identity = make_identity(client_keypair, server_keypair)
+        monkeypatch.setattr(client_mod, "_post", lambda url, body, timeout:
+                            (429, b"throttled", {"Retry-After": "1e9"}))
+        sleeps = []
+        with pytest.raises(TransportError, match="retry budget"):
+            client_mod.request_entropy(identity, "http://unit.test", 32,
+                                       sleep=sleeps.append)
+        assert sleeps == [client_mod.MAX_RETRY_AFTER_S] * \
+            client_mod.DEFAULT_RETRIES
 
 
 class TestCli:

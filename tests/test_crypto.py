@@ -49,6 +49,15 @@ class TestKeyPair:
         with pytest.raises(InvalidKey):
             crypto.load_public_key(b"not a key")
 
+    def test_write_private_key_refuses_existing_file(self, tmp_path,
+                                                     server_keypair):
+        path = tmp_path / "key.der"
+        crypto.write_private_key(path, server_keypair)
+        reloaded = crypto.load_private_key(path.read_bytes())
+        assert reloaded.public_der == server_keypair.public_der
+        with pytest.raises(FileExistsError):
+            crypto.write_private_key(path, server_keypair)
+
     def test_wrong_size_key_rejected(self):
         from cryptography.hazmat.primitives.asymmetric import rsa
         small = rsa.generate_private_key(public_exponent=65537, key_size=2048)
@@ -161,6 +170,24 @@ class TestHybrid:
             crypto.envelope_signing_bytes(env.wrapped_key, env.nonce,
                                           env.ciphertext),
             env.sigma2)
+
+    def test_supplied_session_key_used(self, client_keypair):
+        """A caller-supplied session key is wrapped as given; rng then
+        supplies only the nonce."""
+        session_key = bytes(range(16))
+        draws = []
+
+        def rng(n):
+            draws.append(n)
+            return b"\x07" * n
+
+        env = crypto.seal_message(client_keypair.public, b"payload", rng,
+                                  session_key=session_key)
+        assert draws == [wire.NONCE_LEN]
+        assert crypto.unwrap_key(client_keypair.secret,
+                                 env.wrapped_key) == session_key
+        assert crypto.open_payload(session_key, env.nonce,
+                                   env.ciphertext) == b"payload"
 
     def test_oaep_capacity_is_318(self):
         assert crypto.OAEP_CAPACITY == 384 - 66 == 318

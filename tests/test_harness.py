@@ -4,10 +4,12 @@ scenario files."""
 from __future__ import annotations
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from eaas import crypto, harness
+from eaas.config import parse_config
 from eaas.errors import ConfigError
 from eaas.harness import (
     AdversaryAction,
@@ -202,6 +204,20 @@ class TestScenarioFiles:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             parse_scenario("frobnicate = 9\n")
+
+    @pytest.mark.parametrize("parse", [parse_config, parse_scenario])
+    def test_missing_equals_same_error_in_both_formats(self, parse):
+        with pytest.raises(ConfigError,
+                           match="^line 2: expected key = value$"):
+            parse("# max_delta_s = 16\nmax_delta_s 16\n")
+
+    def test_shipped_sample_parses(self):
+        sample = Path(__file__).parents[1] / "scripts/sample-scenario.conf"
+        spec = parse_scenario(sample.read_text())
+        assert spec.kind == "adversary"
+        assert [a.kind for a in spec.actions] == [
+            AdversaryKind.TAMPER_DELTA_S, AdversaryKind.TAMPER_CIPHERTEXT,
+            AdversaryKind.REPLAY_RESPONSE, AdversaryKind.DROP]
 
     def test_run_scenario_dispatch(self):
         spec = parse_scenario(SCENARIO_TEXT)

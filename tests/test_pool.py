@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import ManualClock, make_pool, seeded_generator
+from conftest import make_pool, seeded_generator
 from eaas.errors import (
     BlockTooShort,
     DuplicateSourceId,
@@ -17,6 +17,7 @@ from eaas.errors import (
     InsufficientCredit,
     NoSources,
 )
+from eaas.harness import SimClock
 from eaas.pool import (
     EntropyPool,
     HealthState,
@@ -32,13 +33,13 @@ def descriptor(sid="s", density=Fraction(1), rate=Fraction(1 << 20)):
 
 class TestRegistration:
     def test_two_sources_listed(self):
-        pool = make_pool(ManualClock(), n_sources=2)
+        pool = make_pool(SimClock(), n_sources=2)
         health = pool.status().per_source_health
         assert set(health) == {"src0", "src1"}
         assert all(h is HealthState.HEALTHY for h in health.values())
 
     def test_duplicate_id_rejected(self):
-        pool = EntropyPool(ManualClock().now)
+        pool = EntropyPool(SimClock().now)
         pool.register_source(descriptor("a"), seeded_generator(0))
         with pytest.raises(DuplicateSourceId):
             pool.register_source(descriptor("a"), seeded_generator(1))
@@ -55,7 +56,7 @@ class TestRegistration:
 class TestCrediting:
     def test_density_half_credits_at_most_half(self):
         """Arithmetic oracle: credit = floor(pulled_bytes * 8 * density)."""
-        clock = ManualClock()
+        clock = SimClock()
         pool = EntropyPool(clock.now)
         pulled = 0
         base = seeded_generator(3)
@@ -72,15 +73,17 @@ class TestCrediting:
         assert pool.total_credited_bits == (pulled // 64) * 256
 
     def test_two_sources_cover_256_bits(self):
-        pool = make_pool(ManualClock(), n_sources=2)
-        state = pool.harvest(256, deadline_ms=1000)
+        pool = make_pool(SimClock(), n_sources=2)
+        pool.harvest(256, deadline_ms=1000)
+        state = pool.status()
         assert state.credited_bits >= 256
 
     def test_credit_never_exceeds_buffer_bits(self):
-        pool = make_pool(ManualClock(), n_sources=2,
+        pool = make_pool(SimClock(), n_sources=2,
                          density=Fraction(9, 10))
         for needed in (128, 700, 1500):
-            state = pool.harvest(needed, deadline_ms=1000)
+            pool.harvest(needed, deadline_ms=1000)
+            state = pool.status()
             assert state.credited_bits <= 8 * len(state.buffered)
 
 
@@ -114,17 +117,18 @@ class TestHealthTest:
 
 class TestHealthGating:
     def test_stuck_source_degrades_and_other_credits(self):
-        clock = ManualClock()
+        clock = SimClock()
         pool = EntropyPool(clock.now)
         pool.register_source(descriptor("stuck"), lambda n: b"\x00" * n)
         pool.register_source(descriptor("good"), seeded_generator(5))
-        state = pool.harvest(2048, deadline_ms=1000)
+        pool.harvest(2048, deadline_ms=1000)
+        state = pool.status()
         assert state.per_source_health["stuck"] is HealthState.DEGRADED
         assert state.per_source_health["good"] is HealthState.HEALTHY
         assert state.credited_bits >= 2048
 
     def test_degrade_within_five_blocks(self):
-        clock = ManualClock()
+        clock = SimClock()
         pool = EntropyPool(clock.now)
         calls = 0
 
@@ -141,19 +145,19 @@ class TestHealthGating:
         assert calls <= 5
 
     def test_all_disabled_raises_no_sources(self):
-        pool = make_pool(ManualClock(), n_sources=2)
+        pool = make_pool(SimClock(), n_sources=2)
         pool.disable_source("src0")
         pool.disable_source("src1")
         with pytest.raises(NoSources):
             pool.harvest(8, deadline_ms=100)
 
     def test_empty_pool_raises_no_sources(self):
-        pool = EntropyPool(ManualClock().now)
+        pool = EntropyPool(SimClock().now)
         with pytest.raises(NoSources):
             pool.harvest(8, deadline_ms=100)
 
     def test_frozen_clock_exhausted_allowance_depletes(self):
-        clock = ManualClock()
+        clock = SimClock()
         pool = make_pool(clock, n_sources=1, max_rate=Fraction(128))
         # 128-byte burst allowance = 2 blocks = 1024 bits at density 1
         with pytest.raises(EntropyDepleted):
@@ -161,18 +165,19 @@ class TestHealthGating:
         assert pool.credited_bits == 1024
 
     def test_allowance_refills_with_time(self):
-        clock = ManualClock()
+        clock = SimClock()
         pool = make_pool(clock, n_sources=1, max_rate=Fraction(128))
         with pytest.raises(EntropyDepleted):
             pool.harvest(2048, deadline_ms=10_000)
         clock.advance(1000)
-        state = pool.harvest(2048, deadline_ms=10_000)
+        pool.harvest(2048, deadline_ms=10_000)
+        state = pool.status()
         assert state.credited_bits >= 2048
 
 
 class TestExtract:
     def test_zero_bytes_is_noop(self):
-        pool = make_pool(ManualClock())
+        pool = make_pool(SimClock())
         pool.harvest(256, deadline_ms=100)
         before = pool.credited_bits
         assert pool.extract(0) == b""
@@ -180,7 +185,7 @@ class TestExtract:
 
     def test_extract_oracle_on_zero_buffer(self):
         """Frozen independently: sha256(be32(0) || 64 zero bytes)."""
-        pool = EntropyPool(ManualClock().now)
+        pool = EntropyPool(SimClock().now)
         pool._buffered = b"\x00" * 64
         pool._credited_bits = 512
         out = pool.extract(32)
@@ -189,21 +194,21 @@ class TestExtract:
         assert out == hashlib.sha256(b"\x00" * 4 + b"\x00" * 64).digest()
 
     def test_insufficient_credit(self):
-        pool = EntropyPool(ManualClock().now)
+        pool = EntropyPool(SimClock().now)
         pool._buffered = b"\x07" * 64
         pool._credited_bits = 256
         with pytest.raises(InsufficientCredit):
             pool.extract(64)   # needs 512 > 256
 
     def test_credit_consumed(self):
-        pool = make_pool(ManualClock())
+        pool = make_pool(SimClock())
         pool.harvest(1024, deadline_ms=100)
         before = pool.credited_bits
         pool.extract(16)
         assert pool.credited_bits == before - 128
 
     def test_ratchet_shares_no_16_byte_substring(self):
-        pool = make_pool(ManualClock())
+        pool = make_pool(SimClock())
         pool.harvest(2048, deadline_ms=100)
         before = pool.status().buffered
         pool.extract(32)
@@ -212,7 +217,7 @@ class TestExtract:
             assert before[i:i + 16] not in after
 
     def test_invariant_after_extract(self):
-        pool = make_pool(ManualClock())
+        pool = make_pool(SimClock())
         pool.harvest(4096, deadline_ms=100)
         pool.extract(100)
         state = pool.status()
@@ -223,7 +228,7 @@ class TestConservation:
     def test_random_operation_sequence(self):
         """No entropy expansion over a randomized op mix."""
         rng = random.Random(412)
-        clock = ManualClock()
+        clock = SimClock()
         pool = make_pool(clock, n_sources=2, density=Fraction(3, 4))
         for _ in range(600):
             op = rng.random()
@@ -248,7 +253,7 @@ class TestConservation:
     def test_masked_constant_source_output_is_balanced(self):
         """One adversarial constant source among two cannot push the
         conditioned output past the module's own health checks."""
-        clock = ManualClock()
+        clock = SimClock()
         pool = EntropyPool(clock.now)
         pool.register_source(descriptor("adv"), lambda n: b"\xff" * n)
         pool.register_source(descriptor("good"), seeded_generator(17))

@@ -4,7 +4,10 @@ and HTTP integration on an ephemeral port."""
 from __future__ import annotations
 
 import logging
+import socket
+import stat
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -199,6 +202,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             cfg = parse_config(line + "\n")
 
+    def test_shipped_sample_loads(self, monkeypatch):
+        monkeypatch.delenv("EAAS_LISTEN", raising=False)
+        monkeypatch.delenv("EAAS_MAX_DELTA_S", raising=False)
+        scripts = Path(__file__).parents[1] / "scripts"
+        cfg = load_config(scripts / "sample-server.conf")
+        assert (cfg.listen_host, cfg.listen_port) == ("127.0.0.1", 8639)
+        assert cfg.key_file == scripts / "tes_key.der"
+        assert {s.source_id for s in cfg.sources} == {"osrng", "sensor"}
+
     def test_load_config_resolves_relative_paths(self, tmp_path):
         (tmp_path / "tes.conf").write_text(
             "key_file = keys/tes.der\n"
@@ -212,6 +224,7 @@ class TestKeyPersistence:
         path = tmp_path / "tes_key.der"
         first = load_or_create_keypair(path)
         assert path.exists()
+        assert stat.S_IMODE(path.stat().st_mode) == 0o600
         second = load_or_create_keypair(path)
         assert first.public_der == second.public_der
 
@@ -252,6 +265,27 @@ class TestHttp:
         status, body, _ = client_mod._post(
             http_server.url + "/v1/entropy", b"junk", 5)
         assert (status, body) == (400, b"malformed")
+
+    @pytest.mark.parametrize("length, status, token", [
+        ("abc", 400, b"malformed"),
+        ("-1", 400, b"malformed"),
+        ("100000000000", 413, b"too-large"),
+        pytest.param("9" * 5000, 413, b"too-large",     # past int()'s
+                     id="5000-digits-413-too-large"),   # digit limit
+    ])
+    def test_bad_content_length_refused_and_closed(self, http_server, length,
+                                                   status, token):
+        """Refused before any body is read, then closed: the read below
+        ends at the server's close, or fails at the socket timeout."""
+        head = ("POST /v1/entropy HTTP/1.1\r\nHost: test\r\n"
+                f"Content-Length: {length}\r\n\r\n").encode()
+        with socket.create_connection(http_server.address, timeout=5) as sock:
+            sock.sendall(head)
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        assert reply.startswith(f"HTTP/1.1 {status} ".encode())
+        assert reply.endswith(b"\r\n\r\n" + token)
 
     def test_unknown_route_404(self, http_server):
         status, _, _ = client_mod._post(http_server.url + "/v1/nope",

@@ -8,10 +8,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import ManualClock, make_pool, seeded_generator
+from conftest import make_pool, seeded_generator
 from eaas import client as client_mod
 from eaas import crypto, wire
 from eaas.config import DEFAULT_PLATFORM_MEASUREMENT
+from eaas.harness import SimClock
 from eaas.trusted import (
     TaCommand,
     TaStatus,
@@ -22,7 +23,7 @@ from eaas.trusted import (
 
 
 def make_ta(server_keypair, clock=None, pool=None, **kwargs):
-    clock = clock or ManualClock()
+    clock = clock or SimClock()
     pool = pool or make_pool(clock)
     return TrustedApplication(
         server_keypair, pool,
@@ -145,7 +146,7 @@ class TestHandleRequest:
 
     def test_depleted_pool_no_envelope(self, server_keypair,
                                        client_keypair):
-        clock = ManualClock()
+        clock = SimClock()
         pool = make_pool(clock, n_sources=1, max_rate=Fraction(64))
         ta, _ = make_ta(server_keypair, clock=clock, pool=pool)
         body = build_body(client_keypair, server_keypair.public,
@@ -238,7 +239,7 @@ class TestTcbBoundary:
     def test_no_export_returns_secrets(self, server_keypair):
         """Every reachable output of the public surface is checked for
         key material and pool buffer bytes."""
-        clock = ManualClock()
+        clock = SimClock()
         pool = make_pool(clock)
         ta, _ = make_ta(server_keypair, clock=clock, pool=pool)
         pool.harvest(512, deadline_ms=100)
