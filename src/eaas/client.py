@@ -72,37 +72,35 @@ def provision(store_path: Path | str,
 
     key_path = store / CLIENT_KEY_FILE
     if key_path.exists():
-        try:
-            keypair = crypto.load_private_key(key_path.read_bytes())
-        except InvalidKey as exc:
-            raise StoreCorrupt(f"{key_path}: {exc}") from exc
+        keypair = _load_key(crypto.load_private_key, key_path)
     else:
         keypair = crypto.generate_keypair()
         crypto.write_private_key(key_path, keypair)
 
     server_key_path = store / SERVER_KEY_FILE
     if server_pubkey_source is not None:
-        if isinstance(server_pubkey_source, bytes):
-            raw = server_pubkey_source
-        else:
-            raw = Path(server_pubkey_source).read_bytes()
-        try:
-            server_public = crypto.load_public_key(raw)
-        except InvalidKey as exc:
-            raise StoreCorrupt(f"server key: {exc}") from exc
+        server_public = _load_key(crypto.load_public_key,
+                                  server_pubkey_source, "server key")
         server_key_path.write_bytes(crypto.public_key_der(server_public))
     elif server_key_path.exists():
-        try:
-            server_public = crypto.load_public_key(
-                server_key_path.read_bytes())
-        except InvalidKey as exc:
-            raise StoreCorrupt(f"{server_key_path}: {exc}") from exc
+        server_public = _load_key(crypto.load_public_key, server_key_path)
     else:
         raise MissingServerKey(
             "no pinned server key; pass server_pubkey_source")
 
     return ClientIdentity(keypair=keypair, server_public=server_public,
                           store_path=store)
+
+
+def _load_key(loader, source: Path | str | bytes, name: str | None = None):
+    """loader applied to source's bytes (or the file it names); an
+    InvalidKey is raised as StoreCorrupt naming the key, by default by
+    its file."""
+    raw = source if isinstance(source, bytes) else Path(source).read_bytes()
+    try:
+        return loader(raw)
+    except InvalidKey as exc:
+        raise StoreCorrupt(f"{name or source}: {exc}") from exc
 
 
 def build_request(identity: ClientIdentity, delta_s: int, *,

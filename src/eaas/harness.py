@@ -510,14 +510,14 @@ def depletion_scenario(flood_rate: int, duration_s: int,
 def parse_scenario(text: str) -> ScenarioSpec:
     """Flat key = value scenario description; see sample files."""
     spec = ScenarioSpec()
-    actions: list[tuple[int, AdversaryAction]] = []
+    actions: list[tuple[int, int, AdversaryAction]] = []
     for lineno, key, value in read_key_values(text):
         try:
             if key.startswith("action."):
                 order = int(key.split(".", 1)[1])
                 kind_name, _, rest = value.partition(":")
                 target_str, _, param = rest.partition(":")
-                actions.append((order, AdversaryAction(
+                actions.append((order, lineno, AdversaryAction(
                     kind=AdversaryKind(kind_name),
                     target=int(target_str),
                     parameter=int(param) if param else None)))
@@ -537,9 +537,12 @@ def parse_scenario(text: str) -> ScenarioSpec:
                 raise ConfigError(f"line {lineno}: unknown key {key!r}")
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"line {lineno}: {exc}") from exc
-    spec.actions = [a for _, a in sorted(actions, key=lambda p: p[0])]
     if spec.kind not in ("fleet", "adversary", "depletion"):
         raise ConfigError(f"unknown scenario kind {spec.kind!r}")
+    if actions and spec.kind != "adversary":
+        raise ConfigError(f"line {actions[0][1]}: action.* only applies "
+                          "to kind = adversary")
+    spec.actions = [a for _, _, a in sorted(actions)]
     return spec
 
 

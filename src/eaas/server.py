@@ -188,19 +188,27 @@ def build_service(config: ServerConfig,
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # Socket timeout in seconds: an idle kept-alive connection is closed,
+    # and a body that stops short of its Content-Length gets 408.
+    timeout = 10
 
     def _reply(self, status: int, body: bytes, headers: dict) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", OCTET_STREAM)
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in headers.items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        """Send the reply; a peer that has gone just ends the connection."""
+        try:
+            self.send_response(status)
+            self.send_header("Content-Type", OCTET_STREAM)
+            self.send_header("Content-Length", str(len(body)))
+            for name, value in headers.items():
+                self.send_header(name, value)
+            self.end_headers()
+            self.wfile.write(body)
+        except (BrokenPipeError, ConnectionResetError):
+            self.close_connection = True
 
     def _read_body(self) -> bytes | None:
         """Read a body of strict Content-Length (digits, <= MAX_BODY_LEN);
-        else reply 400 or 413 unread, close, and return None."""
+        else reply 400 or 413 unread, or 408 if the body does not arrive
+        within the timeout, close, and return None."""
         value = self.headers.get("Content-Length", "0")
         if not (value.isascii() and value.isdigit()):
             self._reply(400, b"malformed", {"Connection": "close"})
@@ -211,7 +219,11 @@ class _Handler(BaseHTTPRequestHandler):
                 or int(digits) > wire.MAX_BODY_LEN):
             self._reply(413, b"too-large", {"Connection": "close"})
             return None
-        return self.rfile.read(int(digits))
+        try:
+            return self.rfile.read(int(digits))
+        except TimeoutError:
+            self._reply(408, b"timeout", {"Connection": "close"})
+            return None
 
     def do_GET(self):
         if self.path == "/v1/pubkey":

@@ -214,12 +214,16 @@ class TestVerifyResponse:
         reply = forge_response(client_keypair, server_keypair,
                                t2=self.T1 + 5, entropy=b"\x11" * 32)
         env = wire.decode_envelope(reply)
+
+        def flip(field: bytes) -> bytes:   # always a change, unlike \x00
+            return bytes([field[0] ^ 1]) + field[1:]
+
         mutations = [
-            replace(env, wrapped_key=b"\x00" + env.wrapped_key[1:]),
-            replace(env, nonce=b"\x00" + env.nonce[1:]),
+            replace(env, wrapped_key=flip(env.wrapped_key)),
+            replace(env, nonce=flip(env.nonce)),
             replace(env, ciphertext=env.ciphertext[:-1]
                     + bytes([env.ciphertext[-1] ^ 1])),
-            replace(env, sigma2=b"\x00" + env.sigma2[1:]),
+            replace(env, sigma2=flip(env.sigma2)),
         ]
         for mutated in mutations:
             with pytest.raises(BadServerSignature):

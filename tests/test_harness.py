@@ -205,6 +205,16 @@ class TestScenarioFiles:
         with pytest.raises(ConfigError):
             parse_scenario("frobnicate = 9\n")
 
+    @pytest.mark.parametrize("kind", ["fleet", "depletion"])
+    def test_action_outside_adversary_rejected(self, kind):
+        """An action line a fleet or depletion run would ignore is an
+        error, whether it comes before or after the kind."""
+        with pytest.raises(ConfigError, match="^line 3: action.* only "
+                                              "applies to kind = adversary$"):
+            parse_scenario(f"kind = {kind}\n\naction.0 = drop:0\n")
+        with pytest.raises(ConfigError, match="^line 1: "):
+            parse_scenario(f"action.0 = drop:0\nkind = {kind}\n")
+
     @pytest.mark.parametrize("parse", [parse_config, parse_scenario])
     def test_missing_equals_same_error_in_both_formats(self, parse):
         with pytest.raises(ConfigError,

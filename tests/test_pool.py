@@ -8,6 +8,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_pool, seeded_generator
 from eaas.errors import (
@@ -18,7 +20,10 @@ from eaas.errors import (
     NoSources,
 )
 from eaas.harness import SimClock
+from eaas import pool as pool_module
 from eaas.pool import (
+    OUT_TAG,
+    RATCHET_TAG,
     EntropyPool,
     HealthState,
     SourceDescriptor,
@@ -106,6 +111,22 @@ class TestHealthTest:
         assert abs(ones - 256) > 4 * (2 * 64) ** 0.5
         assert health_test(block) is False
 
+    @settings(max_examples=300, deadline=None)
+    @given(runs=st.lists(st.tuples(st.integers(0, 255), st.integers(1, 30)),
+                         min_size=1, max_size=40),
+           max_repeat=st.integers(0, 25))
+    def test_matches_byte_loop(self, runs, max_repeat):
+        """The repetition check agrees with a byte-by-byte run count."""
+        block = b"".join(bytes([b]) * k for b, k in runs)
+        block = (block * (-(-64 // len(block))))[:max(64, len(block))]
+        longest = run = 1
+        for prev, cur in zip(block, block[1:]):
+            run = run + 1 if cur == prev else 1
+            longest = max(longest, run)
+        assert health_test(block, monobit_sigmas=1e9,
+                           max_repeat=max_repeat) is (
+            longest <= max(max_repeat, 1))
+
     def test_random_blocks_pass_rate(self):
         """4-sigma two-sided is ~6.3e-5; over 10^4 random 1024-byte
         blocks the failure count should be tiny (binomial tail)."""
@@ -184,14 +205,41 @@ class TestExtract:
         assert pool.credited_bits == before
 
     def test_extract_oracle_on_zero_buffer(self):
-        """Frozen independently: sha256(be32(0) || 64 zero bytes)."""
+        """Frozen independently: at density 1, 32 bytes take the first 32
+        buffer bytes and the ratchet the other 32, both under
+        G = sha256(OUT_TAG || 64 zero bytes)."""
         pool = EntropyPool(SimClock().now)
-        pool._buffered = b"\x00" * 64
-        pool._credited_bits = 512
+        pool._append(b"\x00" * 64, 512)
         out = pool.extract(32)
-        assert out.hex() == ("1751ac12e70e15b4f76c16775cd329ae"
-                             "55973b612521dab2de828a5cdb6c8ab3")
-        assert out == hashlib.sha256(b"\x00" * 4 + b"\x00" * 64).digest()
+        assert out.hex() == ("9b780a5b79fb5c3eb10edad23e4c7359"
+                             "b806eb9d1347d136d1b1e53a67e999dc")
+        g = hashlib.sha256(b"EAAS-OUT-V2" + b"\x00" * 64).digest()
+        assert out == hashlib.sha256(
+            b"EAAS-OUT-V2" + b"\x00" * 4 + g + b"\x00" * 32).digest()
+        assert pool.status().buffered == hashlib.sha256(
+            b"EAAS-RATCHET-V2" + b"\x00" * 4 + g + b"\x00" * 32).digest()
+        assert pool.credited_bits == 256
+
+    def test_extract_oracle_slices_at_density_one(self):
+        """48 bytes from two 64-byte records at density 1: output slices
+        [0:32] and [32:48], ratchet slices [48:80], [80:112], [112:128]."""
+        data = bytes(range(128))
+        pool = EntropyPool(SimClock().now)
+        pool._append(data[:64], 512)
+        pool._append(data[64:], 512)
+        out = pool.extract(48)
+        g = hashlib.sha256(b"EAAS-OUT-V2" + data).digest()
+
+        def blocks(tag, cuts):
+            return b"".join(
+                hashlib.sha256(tag + j.to_bytes(4, "big") + g
+                               + data[a:b]).digest()
+                for j, (a, b) in enumerate(zip(cuts, cuts[1:])))
+
+        assert out == blocks(b"EAAS-OUT-V2", [0, 32, 48])[:48]
+        assert pool.status().buffered == blocks(
+            b"EAAS-RATCHET-V2", [48, 80, 112, 128])[:80]
+        assert pool.credited_bits == 1024 - 384
 
     def test_insufficient_credit(self):
         pool = EntropyPool(SimClock().now)
@@ -222,6 +270,139 @@ class TestExtract:
         pool.extract(100)
         state = pool.status()
         assert state.credited_bits <= 8 * len(state.buffered)
+
+
+def floor_credit(records, offset):
+    """Cumulative credit at a buffer offset, each record's credit spread
+    evenly over its bytes, rounded down."""
+    start = before = 0
+    for data, credit in records:
+        if offset <= start + len(data):
+            return before + credit * (offset - start) // len(data)
+        start += len(data)
+        before += credit
+    raise AssertionError("offset past the buffer")
+
+
+def brute_cut(records, size, bits):
+    return max(b for b in range(size + 1)
+               if floor_credit(records, b) <= bits)
+
+
+class _RecordingHashlib:
+    """Stands in for hashlib inside eaas.pool and keeps every input."""
+
+    def __init__(self):
+        self.inputs = []
+
+    def sha256(self, data=b""):
+        self.inputs.append(bytes(data))
+        return hashlib.sha256(data)
+
+
+DENSITIES = (Fraction(3, 4), Fraction(1, 2), Fraction(1, 3), Fraction(0))
+
+
+class TestSegments:
+    @settings(max_examples=150, deadline=None)
+    @given(shape=st.lists(st.tuples(st.integers(1, 96),
+                                    st.sampled_from(DENSITIES)),
+                          min_size=1, max_size=6),
+           n_bytes=st.integers(1, 120), seed=st.integers(0, 2 ** 32))
+    def test_disjoint_slices_cover_credit_intervals(self, shape, n_bytes,
+                                                    seed):
+        """Output block i is computed over its own slice, cut where the
+        credit reaches the end of its interval [256*i, ...); the ratchet
+        slices continue to the end of the buffer."""
+        rng = random.Random(seed)
+        records = [(rng.randbytes(length), length * 8 * d.numerator
+                    // d.denominator) for length, d in shape]
+        pool = EntropyPool(SimClock().now)
+        for data, credit in records:
+            pool._append(data, credit)
+        buffer = b"".join(data for data, _ in records)
+        total = sum(credit for _, credit in records)
+        recorder = _RecordingHashlib()
+        needed = 8 * n_bytes
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pool_module, "hashlib", recorder)
+            if needed > total:
+                with pytest.raises(InsufficientCredit):
+                    pool.extract(n_bytes)
+                assert pool.status().buffered == buffer
+                assert pool.credited_bits == total
+                assert recorder.inputs == []
+                return
+            out = pool.extract(n_bytes)
+
+        mix_input, *blocks = recorder.inputs
+        assert mix_input == OUT_TAG + buffer
+        g = hashlib.sha256(mix_input).digest()
+        rest = total - needed
+        keep = max(32, -(-rest // 8))
+        intervals = ([(OUT_TAG, lo, min(lo + 256, needed))
+                      for lo in range(0, needed, 256)]
+                     + [(RATCHET_TAG, lo, min(lo + 256, total))
+                        for lo in range(needed, needed + 8 * keep, 256)])
+        assert len(blocks) == len(intervals)
+        offset, index = 0, {OUT_TAG: 0, RATCHET_TAG: 0}
+        digests = {OUT_TAG: b"", RATCHET_TAG: b""}
+        for i, (data, (tag, lo, hi)) in enumerate(zip(blocks, intervals)):
+            head = tag + index[tag].to_bytes(4, "big") + g
+            assert data.startswith(head)
+            index[tag] += 1
+            digests[tag] += hashlib.sha256(data).digest()
+            piece = data[len(head):]
+            # slices are ordered, disjoint, and leave no byte out
+            assert buffer[offset:offset + len(piece)] == piece
+            start, offset = offset, offset + len(piece)
+            assert floor_credit(records, start) <= lo
+            if i < len(blocks) - 1:
+                assert offset == brute_cut(records, len(buffer), hi)
+        assert offset == len(buffer)
+        assert out == digests[OUT_TAG][:n_bytes]
+        assert pool.status().buffered == digests[RATCHET_TAG][:keep]
+        assert pool.credited_bits == rest
+        assert pool.credited_bits <= 8 * len(pool.status().buffered)
+
+
+class TestAllowance:
+    @settings(max_examples=100, deadline=None)
+    @given(rate=st.fractions(min_value=Fraction(1, 7), max_value=4096,
+                             max_denominator=1000),
+           steps=st.lists(st.one_of(st.integers(-50, 5000), st.none()),
+                          max_size=60))
+    def test_integer_allowance_matches_fraction_oracle(self, rate, steps):
+        """Integer allowance in 1/(1000*q) byte units equals the Fraction
+        arithmetic it replaced: refill by rate*ms/1000 up to a one-second
+        burst, a pull spends one 64-byte block when the allowance covers
+        it. Steps are clock moves (possibly backwards) or pulls."""
+        now = calls = 0
+        base = seeded_generator(0)
+
+        def counting(n):
+            nonlocal calls
+            calls += 1
+            return base(n)
+
+        pool = EntropyPool(lambda: now)
+        pool.register_source(descriptor(rate=rate), counting)
+        source = pool._sources["s"]
+        allowance, last, pulls = Fraction(rate), 0, 0
+        for step in steps:
+            if step is not None:
+                now += step
+                continue
+            if now > last:
+                allowance = min(Fraction(rate),
+                                allowance + rate * Fraction(now - last, 1000))
+            last = now
+            if allowance >= 64:
+                allowance -= 64
+                pulls += 1
+            pool._pull_block(source)
+            assert calls == pulls
+            assert source.allowance == allowance * source.unit
 
 
 class TestConservation:

@@ -6,7 +6,10 @@ from __future__ import annotations
 import logging
 import socket
 import stat
+import struct
+import threading
 from fractions import Fraction
+from http.server import ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -26,6 +29,7 @@ from eaas.server import (
     EntropyService,
     TesServer,
     ThrottleTable,
+    _Handler,
     load_or_create_keypair,
 )
 from eaas.sources import SourceSpec
@@ -286,6 +290,62 @@ class TestHttp:
                 reply += chunk
         assert reply.startswith(f"HTTP/1.1 {status} ".encode())
         assert reply.endswith(b"\r\n\r\n" + token)
+
+    def test_short_body_gets_408_at_timeout(self, http_server, monkeypatch):
+        """A body that stops short of its Content-Length no longer parks
+        the handler: 408 once the socket timeout passes, then close."""
+        monkeypatch.setattr(_Handler, "timeout", 0.3)
+        head = ("POST /v1/entropy HTTP/1.1\r\nHost: test\r\n"
+                "Content-Length: 10\r\n\r\n12345").encode()
+        with socket.create_connection(http_server.address, timeout=5) as sock:
+            sock.sendall(head)
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 408 ")
+        assert reply.endswith(b"\r\n\r\ntimeout")
+
+    def test_vanished_peer_is_not_a_server_error(self, tmp_path,
+                                                 monkeypatch):
+        """The peer resets the connection while its request is served:
+        the reply's failed write ends the connection quietly, without
+        socketserver's error handler (and its traceback)."""
+        errors, done = [], threading.Event()
+        served, release = threading.Event(), threading.Event()
+        shutdown_request = ThreadingHTTPServer.shutdown_request
+        monkeypatch.setattr(ThreadingHTTPServer, "handle_error",
+                            lambda self, request, addr: errors.append(addr))
+
+        def finished(self, request):
+            shutdown_request(self, request)
+            done.set()
+
+        monkeypatch.setattr(ThreadingHTTPServer, "shutdown_request",
+                            finished)
+
+        class GatedService:
+            def handle_entropy(self, body):
+                served.set()
+                release.wait(5)
+                return 200, b"\x00" * 65536, {}
+
+        cfg = ServerConfig(listen_host="127.0.0.1", listen_port=0)
+        server = TesServer(cfg, service=GatedService())
+        server.start()
+        try:
+            sock = socket.create_connection(server.address, timeout=5)
+            sock.sendall(b"POST /v1/entropy HTTP/1.1\r\nHost: test\r\n"
+                         b"Content-Length: 4\r\n\r\nbody")
+            assert served.wait(5)
+            # linger 0: close sends a reset, so the reply's write fails
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                            struct.pack("ii", 1, 0))
+            sock.close()
+            release.set()
+            assert done.wait(5)
+        finally:
+            server.shutdown()
+        assert errors == []
 
     def test_unknown_route_404(self, http_server):
         status, _, _ = client_mod._post(http_server.url + "/v1/nope",
