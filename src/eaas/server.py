@@ -20,7 +20,6 @@ import logging
 import signal
 import sys
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -49,23 +48,33 @@ STATUS_MAP: dict[TaStatus, tuple[int, str]] = {
 }
 
 
-@dataclass
-class _Bucket:
-    tokens: Fraction
-    last_refill_ms: int
-
-
 class ThrottleTable:
     """Per-fingerprint token buckets: capacity C, refill r tokens/second.
 
-    Exact rational arithmetic so simulated traces match a discrete-event
-    oracle grant-for-grant.
+    Exact integer arithmetic, so simulated traces match a discrete-event
+    oracle grant-for-grant: for C = a/b and r = p/q, a bucket counts
+    tokens in units of 1/(1000*q*b) token, and an elapsed millisecond
+    adds exactly p*b of them.
+
+    A bucket that has refilled to capacity behaves exactly like an
+    absent one, so whenever the table has doubled in size since the
+    last sweep, every bucket that is full at the current time is
+    dropped: memory stays proportional to the senders active within
+    C/r seconds, at amortised O(1) per check. On a clock that steps
+    backwards (``system_clock_ms`` is wall time), an evicted hint starts
+    again from a full bucket where a kept one might not have refilled
+    yet; that never grants more than a fresh identity would get.
     """
 
     def __init__(self, capacity: Fraction, refill_rate: Fraction):
-        self.capacity = Fraction(capacity)
-        self.refill_rate = Fraction(refill_rate)
-        self._buckets: dict[bytes, _Bucket] = {}
+        a, b = Fraction(capacity).as_integer_ratio()
+        p, q = Fraction(refill_rate).as_integer_ratio()
+        self._unit = 1000 * q * b      # units in one token
+        self._capacity = 1000 * q * a
+        self._per_ms = p * b
+        # fingerprint -> (tokens in units, time of last refill in ms)
+        self._buckets: dict[bytes, tuple[int, int]] = {}
+        self._sweep_at = 2
         self._lock = threading.Lock()
 
     def check(self, fp: bytes, now_ms: int) -> tuple[bool, int]:
@@ -76,19 +85,27 @@ class ThrottleTable:
         with self._lock:
             bucket = self._buckets.get(fp)
             if bucket is None:
-                bucket = _Bucket(tokens=self.capacity, last_refill_ms=now_ms)
-                self._buckets[fp] = bucket
-            elapsed = now_ms - bucket.last_refill_ms
-            if elapsed > 0:   # a clock stepping backwards never refills
-                bucket.tokens = min(
-                    self.capacity,
-                    bucket.tokens + self.refill_rate * Fraction(elapsed, 1000))
-                bucket.last_refill_ms = now_ms
-            if bucket.tokens >= 1:
-                bucket.tokens -= 1
-                return True, 0
-            deficit = (1 - bucket.tokens) / self.refill_rate
-            return False, -(-deficit.numerator // deficit.denominator)
+                if len(self._buckets) >= self._sweep_at:
+                    self._evict_full(now_ms)
+                tokens, last = self._capacity, now_ms
+            else:
+                tokens, last = bucket
+            if now_ms > last:   # a clock stepping backwards never refills
+                tokens = min(self._capacity,
+                             tokens + (now_ms - last) * self._per_ms)
+                last = now_ms
+            if tokens < self._unit:
+                self._buckets[fp] = (tokens, last)
+                deficit = self._unit - tokens
+                return False, -(-deficit // (1000 * self._per_ms))
+            self._buckets[fp] = (tokens - self._unit, last)
+            return True, 0
+
+    def _evict_full(self, now_ms: int) -> None:
+        self._buckets = {
+            fp: (tokens, last) for fp, (tokens, last) in self._buckets.items()
+            if tokens + max(now_ms - last, 0) * self._per_ms < self._capacity}
+        self._sweep_at = 2 * max(len(self._buckets), 1)
 
 
 class EntropyService:
@@ -104,6 +121,11 @@ class EntropyService:
                                        config.throttle_refill_rate)
         self.counters = {"allowed": 0, "throttled": 0, "depleted": 0,
                          "rejected": 0}
+        self._counters_lock = threading.Lock()   # handler threads share it
+
+    def _count(self, outcome: str) -> None:
+        with self._counters_lock:
+            self.counters[outcome] += 1
 
     def pubkey_der(self) -> bytes:
         reply = self._ta.ta_invoke(encode_command(TaCommand.GET_PUBKEY))
@@ -113,12 +135,12 @@ class EntropyService:
                        now: int | None = None) -> tuple[int, bytes, dict]:
         now = self._clock() if now is None else now
         if len(body) < wire.FINGERPRINT_LEN:
-            self.counters["rejected"] += 1
+            self._count("rejected")
             return 400, b"malformed", {}
         hint = body[:wire.FINGERPRINT_LEN]
         allowed, retry_after = self._throttle.check(hint, now)
         if not allowed:
-            self.counters["throttled"] += 1
+            self._count("throttled")
             log.info("throttled fp=%s retry_after=%ds",
                      hint[:4].hex(), retry_after)
             return 429, b"throttled", {"Retry-After": str(retry_after)}
@@ -126,15 +148,12 @@ class EntropyService:
             encode_command(TaCommand.HANDLE_REQUEST, body))
         status = TaStatus(reply[0])
         if status is TaStatus.OK:
-            self.counters["allowed"] += 1
+            self._count("allowed")
             log.info("served fp=%s bytes=%d", hint[:4].hex(),
                      len(reply) - 1)
             return 200, reply[1:], {}
         http_status, token = STATUS_MAP[status]
-        if http_status == 503:
-            self.counters["depleted"] += 1
-        else:
-            self.counters["rejected"] += 1
+        self._count("depleted" if http_status == 503 else "rejected")
         log.info("refused fp=%s error=%s", hint[:4].hex(), token)
         return http_status, token.encode(), {}
 
@@ -187,21 +206,31 @@ def build_service(config: ServerConfig,
 
 
 class _Handler(BaseHTTPRequestHandler):
+    # Each reply leaves in one write, and Nagle is off (TCP_NODELAY on
+    # every accepted socket, so stdlib error replies go at once too). A
+    # reply in two writes would stall every later reply on a kept-alive
+    # connection: Nagle holds the second write until the client's delayed
+    # ACK of the first, about 40 ms.
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
     # Socket timeout in seconds: an idle kept-alive connection is closed,
     # and a body that stops short of its Content-Length gets 408.
     timeout = 10
 
     def _reply(self, status: int, body: bytes, headers: dict) -> None:
-        """Send the reply; a peer that has gone just ends the connection."""
+        """Send the reply in one write; a peer that has gone just ends
+        the connection."""
         try:
+            self._headers_buffer = []
             self.send_response(status)
             self.send_header("Content-Type", OCTET_STREAM)
             self.send_header("Content-Length", str(len(body)))
             for name, value in headers.items():
                 self.send_header(name, value)
-            self.end_headers()
-            self.wfile.write(body)
+            if self.request_version != "HTTP/0.9":   # 0.9: the body alone
+                self._headers_buffer.append(b"\r\n")
+            self._headers_buffer.append(body)
+            self.flush_headers()
         except (BrokenPipeError, ConnectionResetError):
             self.close_connection = True
 

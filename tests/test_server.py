@@ -3,16 +3,21 @@ and HTTP integration on an ephemeral port."""
 
 from __future__ import annotations
 
+import http.client
 import logging
 import socket
 import stat
 import struct
+import sys
 import threading
+from collections import Counter
 from fractions import Fraction
 from http.server import ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_stack
 from eaas import client as client_mod
@@ -94,6 +99,101 @@ class TestThrottle:
             assert granted == expected_total
 
 
+class FractionThrottle:
+    """Reference: the token bucket in exact rationals, never evicting."""
+
+    def __init__(self, capacity: Fraction, refill_rate: Fraction):
+        self.capacity = Fraction(capacity)
+        self.refill_rate = Fraction(refill_rate)
+        self.buckets: dict[bytes, list] = {}
+
+    def check(self, fp: bytes, now_ms: int) -> tuple[bool, int]:
+        bucket = self.buckets.setdefault(fp, [self.capacity, now_ms])
+        elapsed = now_ms - bucket[1]
+        if elapsed > 0:
+            bucket[0] = min(self.capacity,
+                            bucket[0] + self.refill_rate
+                            * Fraction(elapsed, 1000))
+            bucket[1] = now_ms
+        if bucket[0] >= 1:
+            bucket[0] -= 1
+            return True, 0
+        deficit = (1 - bucket[0]) / self.refill_rate
+        return False, -(-deficit.numerator // deficit.denominator)
+
+
+RATIONALS = st.sampled_from([Fraction(1, 2), Fraction(5, 3), Fraction(8),
+                             Fraction(1000), Fraction(7, 1000)])
+
+
+class TestThrottleArithmetic:
+    @settings(max_examples=200, deadline=None)
+    @given(capacity=RATIONALS, refill=RATIONALS,
+           events=st.lists(st.tuples(st.integers(0, 1),
+                                     st.integers(-3000, 3000)),
+                           max_size=200))
+    def test_matches_fraction_reference(self, capacity, refill, events):
+        """Integer units give the same (allowed, retry_after) as exact
+        rationals, clock steps backwards included. Two hints never fill
+        the table to its first sweep; eviction is tested below."""
+        table = ThrottleTable(capacity, refill)
+        reference = FractionThrottle(capacity, refill)
+        now = 10_000
+        for hint, step in events:
+            now += step
+            fp = bytes([hint]) * 32
+            assert table.check(fp, now) == reference.check(fp, now)
+
+    @settings(max_examples=200, deadline=None)
+    @given(capacity=RATIONALS, refill=RATIONALS,
+           events=st.lists(st.tuples(st.integers(0, 40),
+                                     st.sampled_from([0, 0, 1, 7, 250,
+                                                      1000, 4000])),
+                           max_size=300))
+    def test_eviction_matches_non_evicting_table(self, capacity, refill,
+                                                 events):
+        """On a non-decreasing clock, dropping full buckets changes no
+        grant and no Retry-After."""
+        table = ThrottleTable(capacity, refill)
+        reference = FractionThrottle(capacity, refill)
+        now = 0
+        for hint, step in events:
+            now += step
+            fp = bytes([hint]) * 32
+            assert table.check(fp, now) == reference.check(fp, now)
+
+    def test_rotating_hints_hold_constant_memory(self):
+        """1,000 hints, each arriving capacity/refill seconds after the
+        last: every earlier bucket is full again, so none is kept."""
+        table = ThrottleTable(Fraction(5), Fraction(1))
+        for i in range(1000):
+            assert table.check(i.to_bytes(32, "big"), 5000 * i)[0]
+        assert len(table._buckets) <= 2
+
+    def test_memory_follows_active_senders(self):
+        """A burst of 1,000 hints, then 100 more after the first have
+        refilled: the sweep that the growth triggers drops the first."""
+        table = ThrottleTable(Fraction(5), Fraction(1))
+        for i in range(1000):
+            table.check(i.to_bytes(32, "big"), 0)
+        for i in range(1000, 1100):
+            table.check(i.to_bytes(32, "big"), 5000)
+        assert len(table._buckets) < 200
+
+    def test_evicted_hint_after_backward_step_starts_full(self):
+        """Wall time can step backwards: a hint evicted as full starts
+        again from a full bucket, as a fresh identity would."""
+        table = ThrottleTable(Fraction(2), Fraction(1))
+        spent = b"\x01" * 32
+        assert [table.check(spent, 0)[0] for _ in range(3)] == [
+            True, True, False]
+        for i in range(2, 6):   # grow the table into a sweep at t = 2 s
+            table.check(bytes([i]) * 32, 2000)
+        assert spent not in table._buckets
+        grants = [table.check(spent, 1000)[0] for _ in range(3)]
+        assert grants == [True, True, False]
+
+
 class TestStatusMapping:
     def test_every_error_code_mapped_once(self):
         unmapped = [s for s in TaStatus
@@ -156,6 +256,37 @@ class TestEntropyService:
         status, reply, _ = service.handle_entropy(body)
         assert (status, reply) == (503, b"entropy-depleted")
         assert service.counters["depleted"] == 1
+
+    def test_counters_exact_under_threads(self):
+        """Four handler threads, a short switch interval: no increment
+        of the shared counters is lost."""
+        class StubTa:
+            def ta_invoke(self, command):
+                return bytes([TaStatus.OK]) + b"entropy"
+
+        config = ServerConfig(throttle_capacity=Fraction(10 ** 9))
+        service = EntropyService(config, StubTa(), clock=lambda: 0)
+        rounds = 2000
+
+        def work(i):
+            for _ in range(rounds):
+                service.handle_entropy(b"short")
+                service.handle_entropy(bytes([i]) * 32 + b"request")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,))
+                       for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert service.counters == {"allowed": 4 * rounds, "throttled": 0,
+                                    "depleted": 0, "rejected": 4 * rounds}
 
 
 SAMPLE_CONFIG = """
@@ -253,6 +384,29 @@ def http_server(tmp_path):
     server.shutdown()
 
 
+@pytest.fixture
+def handler_io(monkeypatch):
+    """Record each write to a handler's socket and each accepted
+    socket's TCP_NODELAY: ([bytes written], [option value])."""
+    writes, nodelay = [], []
+    setup = _Handler.setup
+
+    def recording_setup(handler):
+        setup(handler)
+        nodelay.append(handler.connection.getsockopt(
+            socket.IPPROTO_TCP, socket.TCP_NODELAY))
+        write = handler.wfile.write
+
+        def recording_write(data):
+            writes.append(bytes(data))
+            return write(data)
+
+        handler.wfile.write = recording_write
+
+    monkeypatch.setattr(_Handler, "setup", recording_setup)
+    return writes, nodelay
+
+
 class TestHttp:
     def test_pubkey_endpoint(self, http_server):
         der = client_mod.fetch_server_pubkey(http_server.url)
@@ -346,6 +500,85 @@ class TestHttp:
         finally:
             server.shutdown()
         assert errors == []
+
+    def test_each_reply_is_one_write(self, http_server, handler_io):
+        """Headers and body in separate writes stall every reply after
+        the first on a kept-alive connection: Nagle holds the second
+        write until the client's delayed ACK, about 40 ms."""
+        writes, _ = handler_io
+        conn = http.client.HTTPConnection(*http_server.address, timeout=5)
+        bodies = []
+        try:
+            for method, path, body in [
+                    ("GET", "/v1/pubkey", None), ("GET", "/nope", None),
+                    ("POST", "/v1/entropy", b"short"),
+                    ("POST", "/v1/entropy", b"\x00" * 200),
+                    ("GET", "/v1/pubkey", None)]:
+                conn.request(method, path, body=body)
+                bodies.append(conn.getresponse().read())
+        finally:
+            conn.close()
+        assert len(writes) == len(bodies)
+        for write, body in zip(writes, bodies):
+            assert write.startswith(b"HTTP/1.1 ")
+            assert write.endswith(b"\r\n\r\n" + body)
+
+    def test_accepted_socket_has_nagle_off(self, http_server, handler_io):
+        _, nodelay = handler_io
+        status, _, _ = client_mod._post(http_server.url + "/nope", b"", 5)
+        assert status == 404
+        assert len(nodelay) == 1 and nodelay[0] != 0
+
+    def test_http_0_9_reply_is_the_body_alone(self, http_server):
+        with socket.create_connection(http_server.address, timeout=5) as sock:
+            sock.sendall(b"GET /nope\r\n\r\n")
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        assert reply == b"not-found"
+
+    def test_kept_alive_connection_answers_every_request(self, tmp_path):
+        """Throttled replays, garbage envelopes and unknown routes, back
+        to back on one connection: each is answered on it, and the
+        service's counters equal the replies' tallies."""
+        cfg = ServerConfig(
+            listen_host="127.0.0.1", listen_port=0,
+            key_file=tmp_path / "k.der",
+            throttle_capacity=Fraction(2),
+            throttle_refill_rate=Fraction(1, 1000),   # glacial refill
+            sources=[SourceSpec("os0", "os-random", Fraction(1),
+                                Fraction(1 << 20))])
+        server = TesServer(cfg)
+        server.start()
+        try:
+            identity = client_mod.provision(
+                tmp_path / "store",
+                client_mod.fetch_server_pubkey(server.url))
+            replay, _ = client_mod.build_request(identity, 16)
+            conn = http.client.HTTPConnection(*server.address, timeout=5)
+            conn.connect()
+            sock = conn.sock
+            tallies = Counter()
+            for i in range(20):
+                kind = ("replay", "garbage", "nope")[i % 3]
+                if kind == "nope":
+                    conn.request("GET", "/nope")
+                else:
+                    body = (replay if kind == "replay"
+                            else bytes([i]) * 32 + b"\x00" * 100)
+                    conn.request("POST", "/v1/entropy", body=body)
+                reply = conn.getresponse()
+                reply.read()
+                assert conn.sock is sock
+                tallies[kind, reply.status] += 1
+            conn.close()
+            counters = dict(server.service.counters)
+        finally:
+            server.shutdown()
+        assert tallies == {("replay", 200): 2, ("replay", 429): 5,
+                           ("garbage", 400): 7, ("nope", 404): 6}
+        assert counters == {"allowed": 2, "throttled": 5, "depleted": 0,
+                            "rejected": 7}
 
     def test_unknown_route_404(self, http_server):
         status, _, _ = client_mod._post(http_server.url + "/v1/nope",
