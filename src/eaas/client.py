@@ -9,6 +9,7 @@ contents is revealed to an unauthenticated peer.
 from __future__ import annotations
 
 import argparse
+import http.client
 import logging
 import math
 import os
@@ -16,7 +17,7 @@ import sys
 import time
 import urllib.error
 import urllib.request
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from cryptography.hazmat.primitives.asymmetric import rsa
@@ -53,6 +54,10 @@ class ClientIdentity:
     keypair: crypto.KeyPair
     server_public: rsa.RSAPublicKey
     store_path: Path
+    # (keypair, delta_s, sigma1) of the last binding signed; see
+    # request_signature.
+    _sigma1: tuple[crypto.KeyPair, int, bytes] | None = field(
+        init=False, default=None, repr=False, compare=False)
 
     @property
     def fingerprint(self) -> bytes:
@@ -117,10 +122,30 @@ def build_request(identity: ClientIdentity, delta_s: int, *,
         raise FieldOutOfRange(f"delta_s {delta_s} outside [1, {max_delta_s}]")
     t1 = clock()
     pub_der = identity.keypair.public_der
-    sigma1 = crypto.sign(identity.keypair.secret, crypto.REQUEST_TAG,
-                         crypto.request_signing_bytes(pub_der, delta_s))
+    sigma1 = request_signature(identity, delta_s)
     return seal_request(identity.server_public, pub_der, delta_s, sigma1,
                         rng=rng, max_delta_s=max_delta_s), t1
+
+
+def request_signature(identity: ClientIdentity, delta_s: int) -> bytes:
+    """sigma1 over (identity's public key, delta_s).
+
+    The signed bytes hold no nonce or time, so sigma1 is a static binding
+    and is signed once per (keypair, delta_s): the identity keeps the
+    last one and hands it out again while its keypair object and delta_s
+    match. Freshness comes from the sealed envelope and t1/t2, never from
+    sigma1. The memo is one tuple, replaced whole, so threads sharing an
+    identity can at worst both sign.
+    """
+    keypair = identity.keypair
+    memo = identity._sigma1
+    if memo is not None and memo[0] is keypair and memo[1] == delta_s:
+        return memo[2]
+    sigma1 = crypto.sign(keypair.secret, crypto.REQUEST_TAG,
+                         crypto.request_signing_bytes(keypair.public_der,
+                                                      delta_s))
+    identity._sigma1 = (keypair, delta_s, sigma1)
+    return sigma1
 
 
 def seal_request(server_public: rsa.RSAPublicKey, pub_der: bytes,
@@ -171,14 +196,19 @@ def verify_response(envelope_bytes: bytes, *, t1: int, delta_s: int,
 
 
 def _post(url: str, body: bytes, timeout: float) -> tuple[int, bytes, dict]:
+    """(status, reply, headers) for any HTTP status. A peer that cannot be
+    reached, times out or breaks HTTP raises TransportError."""
     req = urllib.request.Request(
         url, data=body, method="POST",
         headers={"Content-Type": "application/octet-stream"})
     try:
-        with urllib.request.urlopen(req, timeout=timeout) as resp:
-            return resp.status, resp.read(), dict(resp.headers)
-    except urllib.error.HTTPError as exc:
-        return exc.code, exc.read(), dict(exc.headers)
+        try:
+            with urllib.request.urlopen(req, timeout=timeout) as resp:
+                return resp.status, resp.read(), dict(resp.headers)
+        except urllib.error.HTTPError as exc:
+            return exc.code, exc.read(), dict(exc.headers)
+    except (http.client.HTTPException, OSError) as exc:
+        raise TransportError(f"POST {url}: {exc!r}") from exc
 
 
 def request_entropy(identity: ClientIdentity, server_url: str,
@@ -196,16 +226,19 @@ def request_entropy(identity: ClientIdentity, server_url: str,
     """
     url = server_url.rstrip("/") + "/v1/entropy"
     last_error: Exception | None = None
+    delay = 0.0
     for attempt in range(retries):
+        if attempt:
+            sleep(delay)    # only ever before another attempt
         body, t1 = build_request(identity, delta_s, rng=rng, clock=clock,
                                  max_delta_s=max_delta_s)
         try:
             status, reply, headers = _post(url, body, timeout)
-        except (urllib.error.URLError, OSError, ConnectionError) as exc:
+        except TransportError as exc:
             last_error = exc
             log.warning("transport failure (attempt %d): %s",
                         attempt + 1, exc)
-            sleep(0.2 * (attempt + 1))
+            delay = 0.2 * (attempt + 1)
             continue
         if status == 429:
             # Retry-After is unauthenticated: only a finite, non-negative
@@ -218,9 +251,9 @@ def request_entropy(identity: ClientIdentity, server_url: str,
             if not math.isfinite(delay) or delay < 0:
                 raise TransportError(f"bad Retry-After {value[:32]!r}")
             delay = min(delay, MAX_RETRY_AFTER_S)
-            log.info("throttled, retrying in %.1fs", delay)
+            log.info("throttled (attempt %d), Retry-After %.1fs",
+                     attempt + 1, delay)
             last_error = TransportError("throttled")
-            sleep(delay)
             continue
         if status != 200:
             raise TransportError(
@@ -229,7 +262,8 @@ def request_entropy(identity: ClientIdentity, server_url: str,
                                server_public=identity.server_public,
                                secret_key=identity.keypair.secret,
                                clock=clock)
-    raise TransportError(f"retry budget exhausted: {last_error}")
+    raise TransportError(f"retry budget exhausted: {last_error}") \
+        from last_error
 
 
 def fetch_server_pubkey(server_url: str,
@@ -238,7 +272,7 @@ def fetch_server_pubkey(server_url: str,
     try:
         with urllib.request.urlopen(url, timeout=timeout) as resp:
             return resp.read()
-    except (urllib.error.URLError, OSError) as exc:
+    except (http.client.HTTPException, OSError) as exc:
         raise TransportError(f"cannot fetch server key: {exc}") from exc
 
 

@@ -388,10 +388,10 @@ def _tampered_request_body(identity: client_mod.ClientIdentity,
                            kind: AdversaryKind, rng: random.Random) -> bytes:
     """White-box request tamper: mutate one signed field in the plaintext
     request and re-seal it under the server key. The hint follows the
-    (possibly mutated) key, so the signature binding is what must fail."""
+    (possibly mutated) key, so the signature binding is what must fail.
+    sigma1 is the identity's memoized one; a mutation makes a new copy."""
     pub_der = identity.keypair.public_der
-    sigma1 = crypto.sign(identity.keypair.secret, crypto.REQUEST_TAG,
-                         crypto.request_signing_bytes(pub_der, delta_s))
+    sigma1 = client_mod.request_signature(identity, delta_s)
     if kind is AdversaryKind.TAMPER_PK:
         # Flip deep inside the modulus so the key still parses.
         pos = rng.randrange(len(pub_der) - 120, len(pub_der) - 10)

@@ -3,8 +3,14 @@ in its fixed order, and retry discipline."""
 
 from __future__ import annotations
 
+import http.client
 import os
+import socket
 import stat
+import sys
+import threading
+import urllib.error
+from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
 
@@ -29,6 +35,7 @@ from eaas.errors import (
 )
 from eaas.server import TesServer
 from eaas.sources import SourceSpec
+from eaas.trusted import TaCommand, TaStatus, encode_command
 
 
 class TestProvision:
@@ -97,6 +104,108 @@ class TestBuildRequest:
         body1, _ = client_mod.build_request(identity, 32)
         body2, _ = client_mod.build_request(identity, 32)
         assert body1 != body2
+
+
+def count_signs(monkeypatch) -> list:
+    """Record the message of every crypto.sign call from here on."""
+    calls, real_sign = [], crypto.sign
+
+    def counting_sign(secret, domain_tag, msg):
+        calls.append(msg)
+        return real_sign(secret, domain_tag, msg)
+
+    monkeypatch.setattr(crypto, "sign", counting_sign)
+    return calls
+
+
+def ta_status(ta, body: bytes) -> TaStatus:
+    return TaStatus(ta.ta_invoke(
+        encode_command(TaCommand.HANDLE_REQUEST, body))[0])
+
+
+def sealed_sigma1(body: bytes, server_keypair) -> bytes:
+    env = wire.decode_envelope(body[wire.FINGERPRINT_LEN:])
+    return wire.decode_request(
+        crypto.open_message(server_keypair.secret, env)).sigma1
+
+
+class TestSigma1Memo:
+    def test_signed_once_per_delta_s(self, monkeypatch, client_keypair,
+                                     server_keypair):
+        identity = make_identity(client_keypair, server_keypair)
+        calls = count_signs(monkeypatch)
+        client_mod.build_request(identity, 32)
+        client_mod.build_request(identity, 32)
+        assert len(calls) == 1
+        client_mod.build_request(identity, 48)
+        assert len(calls) == 2
+
+    def test_new_keypair_re_signs(self, monkeypatch, stack, client_keypair,
+                                  other_keypair, server_keypair):
+        _, _, ta, _ = stack
+        identity = make_identity(client_keypair, server_keypair)
+        calls = count_signs(monkeypatch)
+        old_body, _ = client_mod.build_request(identity, 32)
+        identity.keypair = other_keypair
+        body, _ = client_mod.build_request(identity, 32)
+        assert len(calls) == 2
+        assert ta_status(ta, body) is TaStatus.OK
+        # What a stale memo would have sent: the old key's sigma1 under
+        # the new key.
+        stale = client_mod.seal_request(
+            server_keypair.public, other_keypair.public_der, 32,
+            sealed_sigma1(old_body, server_keypair), rng=os.urandom,
+            max_delta_s=wire.DEFAULT_MAX_DELTA_S)
+        assert ta_status(ta, stale) is TaStatus.BAD_SIGNATURE
+
+    def test_reused_sigma1_in_fresh_envelopes(self, monkeypatch, stack,
+                                              client_keypair,
+                                              server_keypair):
+        _, _, ta, _ = stack
+        identity = make_identity(client_keypair, server_keypair)
+        calls = count_signs(monkeypatch)
+        body1, _ = client_mod.build_request(identity, 32)
+        body2, _ = client_mod.build_request(identity, 32)
+        assert len(calls) == 1
+        assert (sealed_sigma1(body1, server_keypair)
+                == sealed_sigma1(body2, server_keypair))
+        assert body1[wire.FINGERPRINT_LEN:] != body2[wire.FINGERPRINT_LEN:]
+        assert ta_status(ta, body1) is TaStatus.OK
+        assert ta_status(ta, body2) is TaStatus.OK
+
+    def test_threads_sharing_an_identity_get_their_own_binding(
+            self, monkeypatch, client_keypair, server_keypair):
+        """Threads alternating delta_s on one identity each get the
+        signature over their own delta_s, never another thread's."""
+        identity = make_identity(client_keypair, server_keypair)
+        monkeypatch.setattr(crypto, "sign",
+                            lambda secret, tag, msg: tag + msg)
+        expected = {d: crypto.REQUEST_TAG + crypto.request_signing_bytes(
+            client_keypair.public_der, d) for d in (32, 48)}
+        wrong, finished = [], []
+
+        def worker(first: int) -> None:
+            for i in range(2_000):
+                delta_s = (32, 48)[(first + i) % 2]
+                if (client_mod.request_signature(identity, delta_s)
+                        != expected[delta_s]):
+                    wrong.append(delta_s)
+            finished.append(first)
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,))
+                       for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(finished) == [0, 1, 2, 3]
+        assert wrong == []
 
 
 def forge_response(client_keypair, server_keypair, *, t2, entropy,
@@ -305,7 +414,7 @@ class TestRequestEntropy:
             client_mod.request_entropy(
                 identity, "http://127.0.0.1:9", 32,
                 timeout=0.2, sleep=sleeps.append)
-        assert len(sleeps) == client_mod.DEFAULT_RETRIES
+        assert len(sleeps) == client_mod.DEFAULT_RETRIES - 1
 
     def test_throttle_retry_budget(self, tmp_path):
         cfg = ServerConfig(
@@ -326,7 +435,7 @@ class TestRequestEntropy:
             with pytest.raises(TransportError):
                 client_mod.request_entropy(identity, server.url, 16,
                                            sleep=sleeps.append)
-            assert len(sleeps) == client_mod.DEFAULT_RETRIES
+            assert len(sleeps) == client_mod.DEFAULT_RETRIES - 1
             assert all(s >= 1 for s in sleeps)   # server-guided delay
         finally:
             server.shutdown()
@@ -377,7 +486,97 @@ class TestRequestEntropy:
             client_mod.request_entropy(identity, "http://unit.test", 32,
                                        sleep=sleeps.append)
         assert sleeps == [client_mod.MAX_RETRY_AFTER_S] * \
-            client_mod.DEFAULT_RETRIES
+            (client_mod.DEFAULT_RETRIES - 1)
+
+
+@contextmanager
+def hostile_peer(reply: bytes):
+    """A raw-socket peer on localhost answering every request with reply,
+    then closing; yields its URL."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.1)
+    stop = threading.Event()
+
+    def serve() -> None:
+        while not stop.is_set():
+            try:
+                conn, _ = listener.accept()
+            except TimeoutError:
+                continue
+            with conn, conn.makefile("rb") as rfile:
+                conn.settimeout(5)
+                length = 0    # read the whole request, so close sends no RST
+                for line in iter(rfile.readline, b"\r\n"):
+                    if not line:
+                        break
+                    name, _, value = line.partition(b":")
+                    if name.lower() == b"content-length":
+                        length = int(value)
+                rfile.read(length)
+                conn.sendall(reply)
+
+    thread = threading.Thread(target=serve)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{listener.getsockname()[1]}"
+    finally:
+        stop.set()
+        thread.join(timeout=5)
+        listener.close()
+    assert not thread.is_alive()
+
+
+class TestTransportErrors:
+    """A peer that breaks HTTP surfaces as TransportError, with the
+    underlying error kept as its cause."""
+
+    REPLIES = {
+        "short-body": (b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n"
+                       b"Connection: close\r\n\r\nabc",
+                       http.client.IncompleteRead),
+        "bad-status": (b"HTTP/1.1 abc\r\n\r\n", http.client.BadStatusLine),
+    }
+
+    @pytest.mark.parametrize("reply", sorted(REPLIES))
+    def test_request_entropy_retries_then_raises(self, reply, server_keypair,
+                                                 client_keypair):
+        raw, cause = self.REPLIES[reply]
+        identity = make_identity(client_keypair, server_keypair)
+        sleeps = []
+        with hostile_peer(raw) as url:
+            with pytest.raises(TransportError,
+                               match="retry budget") as exc:
+                client_mod.request_entropy(identity, url, 32, timeout=2,
+                                           sleep=sleeps.append)
+        assert isinstance(exc.value.__cause__, TransportError)
+        assert isinstance(exc.value.__cause__.__cause__, cause)
+        assert sleeps == [0.2, 0.4]
+
+    @pytest.mark.parametrize("reply", sorted(REPLIES))
+    def test_request_attestation(self, reply, server_keypair):
+        raw, cause = self.REPLIES[reply]
+        with hostile_peer(raw) as url:
+            with pytest.raises(TransportError) as exc:
+                client_mod.request_attestation(
+                    url, expected_sm=bytes(32), expected_ta=bytes(32),
+                    attestation_pk=server_keypair.public, timeout=2)
+        assert isinstance(exc.value.__cause__, cause)
+
+    @pytest.mark.parametrize("reply", sorted(REPLIES))
+    def test_fetch_server_pubkey(self, reply):
+        raw, cause = self.REPLIES[reply]
+        with hostile_peer(raw) as url:
+            with pytest.raises(TransportError) as exc:
+                client_mod.fetch_server_pubkey(url, timeout=2)
+        assert isinstance(exc.value.__cause__, cause)
+
+    def test_request_attestation_closed_port(self, server_keypair):
+        with pytest.raises(TransportError) as exc:
+            client_mod.request_attestation(
+                "http://127.0.0.1:9", expected_sm=bytes(32),
+                expected_ta=bytes(32),
+                attestation_pk=server_keypair.public, timeout=0.2)
+        assert isinstance(exc.value.__cause__, urllib.error.URLError)
 
 
 class TestCli:
