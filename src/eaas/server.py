@@ -27,7 +27,7 @@ from pathlib import Path
 from . import crypto, wire
 from .config import ServerConfig, load_config
 from .errors import BindFailure, InvalidKey, KeyLoadFailure
-from .pool import Clock, EntropyPool, system_clock_ms
+from .pool import Clock, EntropyPool, monotonic_clock_ms, system_clock_ms
 from .sources import register_sources
 from .trusted import TaCommand, TaStatus, TrustedApplication, encode_command
 
@@ -60,10 +60,7 @@ class ThrottleTable:
     absent one, so whenever the table has doubled in size since the
     last sweep, every bucket that is full at the current time is
     dropped: memory stays proportional to the senders active within
-    C/r seconds, at amortised O(1) per check. On a clock that steps
-    backwards (``system_clock_ms`` is wall time), an evicted hint starts
-    again from a full bucket where a kept one might not have refilled
-    yet; that never grants more than a fresh identity would get.
+    C/r seconds, at amortised O(1) per check.
     """
 
     def __init__(self, capacity: Fraction, refill_rate: Fraction):
@@ -113,7 +110,7 @@ class EntropyService:
     in-process harness both drive this object."""
 
     def __init__(self, config: ServerConfig, ta: TrustedApplication,
-                 clock: Clock = system_clock_ms):
+                 clock: Clock = monotonic_clock_ms):
         self._config = config
         self._ta = ta
         self._clock = clock
@@ -187,22 +184,25 @@ def load_or_create_keypair(key_file: Path | None) -> crypto.KeyPair:
 
 def build_service(config: ServerConfig,
                   clock: Clock | None = None) -> EntropyService:
-    """Assemble pool, trusted application, and service from config."""
-    if clock is None:
-        if config.clock_mode == "injected":
-            raise KeyLoadFailure(
-                "clock = injected requires a programmatic clock")
-        clock = system_clock_ms
+    """Assemble pool, trusted application, and service from config.
+
+    An injected clock drives all three, as in simulation. Without one,
+    the TA keeps wall time for t2 and quote times, and the work bounds
+    (source allowance, harvest deadline, throttle) run on a monotonic
+    clock, which a wall-clock step does not move.
+    """
+    if clock is None and config.clock_mode == "injected":
+        raise KeyLoadFailure("clock = injected requires a programmatic clock")
     keypair = load_or_create_keypair(config.key_file)
-    pool = EntropyPool(clock)
+    pool = EntropyPool(clock or monotonic_clock_ms)
     register_sources(pool, config.sources)
     ta = TrustedApplication(
         keypair, pool,
         sm_measurement=config.sm_measurement,
-        clock=clock,
+        clock=clock or system_clock_ms,
         max_delta_s=config.max_delta_s,
         harvest_deadline_ms=config.harvest_deadline_ms)
-    return EntropyService(config, ta, clock)
+    return EntropyService(config, ta, clock or monotonic_clock_ms)
 
 
 class _Handler(BaseHTTPRequestHandler):

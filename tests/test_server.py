@@ -5,9 +5,11 @@ from __future__ import annotations
 
 import http.client
 import logging
+import os
 import socket
 import stat
 import struct
+import subprocess
 import sys
 import threading
 from collections import Counter
@@ -22,23 +24,33 @@ from hypothesis import strategies as st
 from conftest import make_stack
 from eaas import client as client_mod
 from eaas import crypto, wire
+from eaas import server as server_module
 from eaas.config import (
+    DEFAULT_PLATFORM_MEASUREMENT,
     ServerConfig,
     apply_env_overrides,
     load_config,
     parse_config,
 )
-from eaas.errors import BindFailure, ConfigError, KeyLoadFailure
+from eaas.errors import (
+    BindFailure,
+    ConfigError,
+    EntropyDepleted,
+    KeyLoadFailure,
+)
+from eaas.harness import SimClock
+from eaas.pool import EntropyPool, monotonic_clock_ms, system_clock_ms
 from eaas.server import (
     STATUS_MAP,
     EntropyService,
     TesServer,
     ThrottleTable,
     _Handler,
+    build_service,
     load_or_create_keypair,
 )
-from eaas.sources import SourceSpec
-from eaas.trusted import TaStatus
+from eaas.sources import SourceSpec, register_sources
+from eaas.trusted import TaStatus, TrustedApplication
 from test_trusted import build_body
 
 
@@ -653,3 +665,68 @@ class TestLogHygiene:
             assert secret.hex() not in text
             import base64
             assert base64.b64encode(secret).decode() not in text
+
+
+class TestWorkClock:
+    def test_wall_steps_move_no_work_bound(self, server_keypair):
+        """Wired as ``build_service`` wires it without an injected clock,
+        on two manual clocks: a 1 h backwards wall step neither freezes
+        the throttle nor the source allowance, a forward one refills
+        neither, and quotes keep wall time."""
+        wall, work = SimClock(), SimClock(0)
+        pool = EntropyPool(work.now)
+        register_sources(pool, [SourceSpec(
+            "s", "simulated-sensor", Fraction(1), Fraction(128),
+            {"seed": "1"})])
+        ta = TrustedApplication(server_keypair, pool,
+                                sm_measurement=DEFAULT_PLATFORM_MEASUREMENT,
+                                clock=wall.now)
+        service = EntropyService(
+            ServerConfig(throttle_capacity=Fraction(2),
+                         throttle_refill_rate=Fraction(1)), ta, work.now)
+        garbage = b"\x01" * 32 + bytes(600)    # refused by the TA: 400
+
+        def statuses(n):
+            return [service.handle_entropy(garbage)[0] for _ in range(n)]
+
+        assert statuses(3) == [400, 400, 429]
+        with pytest.raises(EntropyDepleted):     # a 128-byte burst
+            pool.harvest(2048, deadline_ms=1000)
+        assert pool.credited_bits == 1024
+        wall.advance(-3_600_000)
+        work.advance(1000)
+        assert statuses(2) == [400, 429]
+        pool.harvest(2048, deadline_ms=1000)
+        wall.advance(2 * 3_600_000)
+        assert statuses(1) == [429]
+        with pytest.raises(EntropyDepleted):
+            pool.harvest(4096, deadline_ms=1000)
+        assert pool.credited_bits == 2048
+        status, quote, _ = service.handle_attest(bytes(32))
+        assert status == 200
+        assert wire.decode_quote(quote).quote_time == wall.now()
+
+    def test_build_service_times_work_on_a_monotonic_clock(
+            self, tmp_path, server_keypair):
+        key_file = tmp_path / "tes_key.der"
+        crypto.write_private_key(key_file, server_keypair)
+        service = build_service(ServerConfig(
+            key_file=key_file,
+            sources=[SourceSpec("o", "os-random", Fraction(1),
+                                Fraction(1 << 20))]))
+        assert service._clock is monotonic_clock_ms
+        assert service._ta._pool._clock is monotonic_clock_ms
+        assert service._ta._clock is system_clock_ms
+
+
+def test_server_import_leaves_numpy_unloaded():
+    """The server process never loads numpy: only the statistics used by
+    tests and experiments need it."""
+    src = Path(server_module.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, eaas.server; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert result.stdout.strip() == "False"
