@@ -166,7 +166,7 @@ def verify_response(envelope_bytes: bytes, *, t1: int, delta_s: int,
                     secret_key: rsa.RSAPrivateKey,
                     now: int | None = None,
                     max_future_skew_ms: int = DEFAULT_MAX_FUTURE_SKEW_MS,
-                    clock: Clock = system_clock_ms) -> bytes:
+                    ) -> bytes:
     """Run the verification chain and return the entropy bytes.
 
     Order: sigma2, unwrap, open, quantity, freshness (t2 > t1 strictly,
@@ -188,7 +188,7 @@ def verify_response(envelope_bytes: bytes, *, t1: int, delta_s: int,
             f"got {len(response.entropy)} bytes, requested {delta_s}")
     if response.t2 <= t1:
         raise Stale(f"t2 {response.t2} <= t1 {t1}")
-    now = clock() if now is None else now
+    now = system_clock_ms() if now is None else now
     if response.t2 > now + max_future_skew_ms:
         raise Stale(f"t2 {response.t2} is {response.t2 - now} ms in the "
                     "future")
@@ -261,7 +261,7 @@ def request_entropy(identity: ClientIdentity, server_url: str,
         return verify_response(reply, t1=t1, delta_s=delta_s,
                                server_public=identity.server_public,
                                secret_key=identity.keypair.secret,
-                               clock=clock)
+                               now=clock())
     raise TransportError(f"retry budget exhausted: {last_error}") \
         from last_error
 

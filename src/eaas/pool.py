@@ -7,18 +7,19 @@ floor(bits * declared_density) bits of min-entropy, so credited_bits <=
 8 * len(buffer) always holds and the pool compresses entropy, never
 stretches it.
 
-Harvesting visits the healthy sources round-robin, one block per source
-per pass while its rate allowance lasts, and runs in rounds. A round
-plans the steps that would reach the requested credit if every block
-passed, pulls each source's planned blocks with one generator call and
-one allowance debit, and tests each chunk in one pass that gives every
+Harvesting is the plain round-robin loop: each pass takes one block
+from each healthy source while its rate allowance lasts (a source that
+degrades gives none after that), and a pass that credits nothing
+raises. The blocks come from a read-ahead built for each harvest: a
+counts-only plan finds how many blocks each source gives in the passes
+that would reach the request if every block passed, and each count is
+pulled with one generator call and tested in one pass that gives every
 block its own verdict (``failing_blocks``; ``health_test`` is its
-one-block case). It then credits the passing blocks in step order, and
-the next round goes on from where the plan stopped. So the buffer holds
-the same records in the same order as pulling, testing and crediting
-one block at a time: a failing block changes nothing but its own
-record. Only blocks that a round pulled for a source after it degraded,
-or for passes after one that raised, go unused.
+one-block case). A source whose read-ahead runs out, which takes a
+failing block or a degrade, gets one block per pull. So the buffer holds
+the records of pulling, testing and crediting one block at a time. The
+one difference: read-ahead blocks are dropped unused when their source
+degrades, when a pass raises, or when the deadline passes.
 
 Extraction is linear in the buffer and the output. The whole buffer is
 hashed once into G = SHA-256(OUT_TAG || buffer), so every output byte
@@ -67,7 +68,7 @@ from fractions import Fraction
 from itertools import accumulate, chain, islice, repeat
 from operator import itemgetter
 from struct import iter_unpack
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .errors import (
     BlockTooShort,
@@ -90,6 +91,13 @@ Clock = Callable[[], int]
 def system_clock_ms() -> int:
     """Milliseconds since the Unix epoch, UTC."""
     return time.time_ns() // 1_000_000
+
+
+def system_clock_ceil_ms() -> int:
+    """Milliseconds since the Unix epoch, UTC, rounded up: the stamp for
+    t2 and quote times. A client takes t1 rounded down, so a reply
+    stamped later inside t1's own millisecond still reads t2 > t1."""
+    return -(-time.time_ns() // 1_000_000)
 
 
 def monotonic_clock_ms() -> int:
@@ -178,37 +186,6 @@ def health_test(block: bytes, *, monobit_sigmas: float = 4.0,
                               max_repeat=max_repeat)
 
 
-def _plan(first: list[int], allowed: list[int], credit: list[int],
-          short: int, gained: int
-          ) -> tuple[list[int | None], list[int], list[int]]:
-    """Round-robin steps over source indices: the pass in progress
-    visits `first` and has credited `gained` bits so far; later passes
-    visit every source. Source i takes a block while allowed[i] lasts,
-    worth credit[i] bits. The plan stops at the step where the credit
-    would reach `short` if every block passed, or after a pass that
-    would credit nothing, since that pass raises.
-
-    Returns the steps (None ends a pass), the sources the last pass has
-    yet to visit, and the number of blocks planned for each source.
-    """
-    taken = [0] * len(allowed)
-    steps: list[int | None] = []
-    order, everyone = first, list(range(len(allowed)))
-    while True:
-        for k, i in enumerate(order):
-            if taken[i] < allowed[i]:
-                taken[i] += 1
-                steps.append(i)
-                short -= credit[i]
-                gained += credit[i]
-                if short <= 0:
-                    return steps, order[k + 1:], taken
-        steps.append(None)
-        if not gained:
-            return steps, [], taken
-        order, gained = everyone, 0
-
-
 class _Source:
     """Internal per-source record: descriptor, generator, rate allowance.
 
@@ -218,24 +195,28 @@ class _Source:
     """
 
     def __init__(self, desc: SourceDescriptor, generator: Generator,
-                 now_ms: int):
+                 now_ms: int, block_bytes: int):
         self.desc = desc
         self.generator = generator
         self.health = HealthState.HEALTHY
         self.consecutive_failures = 0
         rate = Fraction(desc.max_rate)
         self.density = Fraction(desc.declared_density)
+        self.credit = (block_bytes * 8 * self.density.numerator
+                       // self.density.denominator)  # bits per block
         self.unit = 1000 * rate.denominator     # allowance units per byte
         self.refill_per_ms = rate.numerator
         self.allowance = self.burst = 1000 * rate.numerator
         self.last_refill_ms = now_ms
 
-    def refill(self, now_ms: int) -> None:
+    def refill(self, now_ms: int) -> int:
+        """Refill the allowance up to now_ms and return it."""
         elapsed = now_ms - self.last_refill_ms
         if elapsed > 0:
             self.allowance = min(self.burst,
                                  self.allowance + self.refill_per_ms * elapsed)
         self.last_refill_ms = now_ms
+        return self.allowance
 
 
 class EntropyPool:
@@ -272,8 +253,8 @@ class EntropyPool:
         with self._lock:
             if desc.source_id in self._sources:
                 raise DuplicateSourceId(desc.source_id)
-            self._sources[desc.source_id] = _Source(desc, generator,
-                                                    self._clock())
+            self._sources[desc.source_id] = _Source(
+                desc, generator, self._clock(), self._block_bytes)
             return desc.source_id
 
     def disable_source(self, source_id: str) -> None:
@@ -287,107 +268,101 @@ class EntropyPool:
         needed_bits of credit or the deadline (a duration) passes.
         Returns nothing; ``status()`` reports the resulting state.
 
-        The pool never blocks waiting for source allowance: a full pass
-        that credits nothing raises EntropyDepleted, so callers in
-        simulated time terminate deterministically. The deadline is
-        checked before each round; the request and the sources'
-        allowances bound the work within one.
+        Each pass checks the deadline and takes one block from each
+        healthy source; a pass that credits nothing raises
+        EntropyDepleted, so the pool never waits for allowance. Blocks
+        come from the read-ahead the module docstring describes. Credit
+        earned before a raise is kept.
         """
         with self._lock:
             start = self._clock()
-            rest: list[_Source] = []    # sources left in the current pass
-            pass_credit = 0             # credit the current pass has added
-            while self._credited_bits < needed_bits:
-                if not rest:
-                    rest, pass_credit = self._healthy(), 0
-                if self._clock() - start > deadline_ms:
-                    raise EntropyDepleted(
-                        f"deadline after {deadline_ms} ms with "
-                        f"{self._credited_bits}/{needed_bits} bits")
-                rest, pass_credit = self._round(rest, pass_credit,
-                                                needed_bits)
+            have = self._credited_bits
+            if have >= needed_bits:
+                return
+            healthy = [s for s in self._sources.values()
+                       if s.health is HealthState.HEALTHY]
+            if not healthy:
+                raise NoSources("no healthy entropy source registered")
+            ahead = self._read_ahead(healthy, needed_bits - have)
+            pieces, gains = [], []
+            try:
+                while have < needed_bits:
+                    if self._clock() - start > deadline_ms:
+                        raise EntropyDepleted(
+                            f"deadline after {deadline_ms} ms with "
+                            f"{have}/{needed_bits} bits")
+                    before = have
+                    for source, blocks in ahead:
+                        block = next(blocks)
+                        if block:
+                            pieces.append(block)
+                            gains.append(source.credit)
+                            have += source.credit
+                            if have >= needed_bits:
+                                break
+                    if have == before:
+                        raise EntropyDepleted(
+                            f"sources exhausted with "
+                            f"{have}/{needed_bits} bits")
+            finally:
+                if pieces:
+                    self._append(b"".join(pieces), *gains)
+                    self.total_credited_bits += sum(gains)
 
-    def _healthy(self) -> list[_Source]:
-        healthy = [s for s in self._sources.values()
-                   if s.health is HealthState.HEALTHY]
-        if not healthy:
-            raise NoSources("no healthy entropy source registered")
-        return healthy
-
-    def _round(self, rest: list[_Source], pass_credit: int,
-               needed_bits: int) -> tuple[list[_Source], int]:
-        """Plan the round-robin steps, from the rest of the current pass
-        on, that would reach needed_bits if every block passed; pull each
-        source's planned blocks in one call and test them in one pass;
-        credit the passing blocks in step order. Returns the sources the
-        pass the plan stopped in has yet to visit, and its credit."""
-        bb = self._block_bytes
-        sources = self._healthy()
+    def _read_ahead(self, sources: list[_Source], short: int
+                    ) -> list[tuple[_Source, Iterator[bytes]]]:
+        """Each source with its block stream: a first pull of the blocks
+        (at least one) it gives, within its allowance, in the passes that
+        would credit `short` bits if every block passed, stopping after a
+        pass that would credit nothing, then one block per pull."""
         now = self._clock()
-        allowed, credit = [], []
-        for source in sources:
-            source.refill(now)
-            allowed.append(source.allowance // (bb * source.unit))
-            credit.append(bb * 8 * source.density.numerator
-                          // source.density.denominator)
-        first = [i for i, source in enumerate(sources) if source in rest]
-        steps, tail, taken = _plan(first, allowed, credit,
-                                   needed_bits - self._credited_bits,
-                                   pass_credit)
-        chunks = [self._pull(s, n) if n else b""
-                  for s, n in zip(sources, taken)]
-        failed = [failing_blocks(chunk, bb,
-                                 monobit_sigmas=self._monobit_sigmas,
-                                 max_repeat=self._max_repeat)
-                  if chunk else set() for chunk in chunks]
-        # A chunk of the wrong length credits nothing; blocks a source
-        # yields after it degrades are dropped.
-        live = [bool(chunk) for chunk in chunks]
-        streak = [s.consecutive_failures for s in sources]
-        used = [0] * len(sources)
-        pieces, gains = [], []
-        exhausted = False
-        for i in steps:
-            if i is None:
-                if not pass_credit:
-                    exhausted = True
-                    break
-                pass_credit = 0
+        allowed = [s.refill(now) // (self._block_bytes * s.unit)
+                   for s in sources]
+        taken, before = [0] * len(sources), None
+        while short > 0 and short != before:
+            before = short
+            for i, source in enumerate(sources):
+                if taken[i] < allowed[i]:
+                    taken[i] += 1
+                    short -= source.credit
+                    if short <= 0:
+                        break
+        return [(s, self._blocks(s, max(n, 1)))
+                for s, n in zip(sources, taken)]
+
+    def _blocks(self, source: _Source, count: int) -> Iterator[bytes]:
+        """source's blocks in stream order, `count` from the first pull
+        and one from each later pull. A block that fails its health
+        test, and a pull that yields nothing, give b"". Each verdict
+        counts when its block is taken; once the source degrades it
+        gives b"" for good."""
+        bb = self._block_bytes
+        while True:
+            chunk = self._pull(source, count)
+            count = 1
+            if not chunk:
+                yield b""
                 continue
-            j = used[i]
-            used[i] = j + 1
-            if not live[i] or j in failed[i]:
-                if live[i]:
-                    streak[i] += 1
-                    if streak[i] >= self._degrade_after:
-                        sources[i].health = HealthState.DEGRADED
-                        live[i] = False
-                continue
-            streak[i] = 0
-            pieces.append(chunks[i][j * bb:(j + 1) * bb])
-            gains.append(credit[i])
-            pass_credit += credit[i]
-        for source, failures in zip(sources, streak):
-            source.consecutive_failures = failures
-        if gains:
-            self._append(b"".join(pieces), *gains)
-            self.total_credited_bits += sum(gains)
-        rest = [sources[i] for i in tail
-                if sources[i].health is HealthState.HEALTHY]
-        if exhausted or (not rest and not pass_credit
-                         and self._credited_bits < needed_bits):
-            raise EntropyDepleted(
-                f"sources exhausted with "
-                f"{self._credited_bits}/{needed_bits} bits")
-        return rest, pass_credit
+            failed = failing_blocks(chunk, bb,
+                                    monobit_sigmas=self._monobit_sigmas,
+                                    max_repeat=self._max_repeat)
+            for j in range(len(chunk) // bb):
+                if j not in failed:
+                    source.consecutive_failures = 0
+                    yield chunk[j * bb:(j + 1) * bb]
+                    continue
+                source.consecutive_failures += 1
+                if source.consecutive_failures >= self._degrade_after:
+                    source.health = HealthState.DEGRADED
+                    yield from repeat(b"")
+                yield b""
 
     def _pull(self, source: _Source, blocks: int) -> bytes:
         """`blocks` blocks from one generator call, debited at once, if
         the allowance covers them all. Returns b"" otherwise, or when the
         generator returns the wrong length (nothing is debited then)."""
-        source.refill(self._clock())
         size = blocks * self._block_bytes
-        if source.allowance < size * source.unit:
+        if source.refill(self._clock()) < size * source.unit:
             return b""
         chunk = source.generator(size)
         if len(chunk) != size:

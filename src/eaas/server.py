@@ -27,7 +27,8 @@ from pathlib import Path
 from . import crypto, wire
 from .config import ServerConfig, load_config
 from .errors import BindFailure, InvalidKey, KeyLoadFailure
-from .pool import Clock, EntropyPool, monotonic_clock_ms, system_clock_ms
+from .pool import (Clock, EntropyPool, monotonic_clock_ms,
+                   system_clock_ceil_ms)
 from .sources import register_sources
 from .trusted import TaCommand, TaStatus, TrustedApplication, encode_command
 
@@ -128,14 +129,12 @@ class EntropyService:
         reply = self._ta.ta_invoke(encode_command(TaCommand.GET_PUBKEY))
         return reply[1:]
 
-    def handle_entropy(self, body: bytes,
-                       now: int | None = None) -> tuple[int, bytes, dict]:
-        now = self._clock() if now is None else now
+    def handle_entropy(self, body: bytes) -> tuple[int, bytes, dict]:
         if len(body) < wire.FINGERPRINT_LEN:
             self._count("rejected")
             return 400, b"malformed", {}
         hint = body[:wire.FINGERPRINT_LEN]
-        allowed, retry_after = self._throttle.check(hint, now)
+        allowed, retry_after = self._throttle.check(hint, self._clock())
         if not allowed:
             self._count("throttled")
             log.info("throttled fp=%s retry_after=%ds",
@@ -187,9 +186,9 @@ def build_service(config: ServerConfig,
     """Assemble pool, trusted application, and service from config.
 
     An injected clock drives all three, as in simulation. Without one,
-    the TA keeps wall time for t2 and quote times, and the work bounds
-    (source allowance, harvest deadline, throttle) run on a monotonic
-    clock, which a wall-clock step does not move.
+    the TA stamps t2 and quote times with wall time rounded up, and the
+    work bounds (source allowance, harvest deadline, throttle) run on a
+    monotonic clock, which a wall-clock step does not move.
     """
     if clock is None and config.clock_mode == "injected":
         raise KeyLoadFailure("clock = injected requires a programmatic clock")
@@ -199,7 +198,7 @@ def build_service(config: ServerConfig,
     ta = TrustedApplication(
         keypair, pool,
         sm_measurement=config.sm_measurement,
-        clock=clock or system_clock_ms,
+        clock=clock or system_clock_ceil_ms,
         max_delta_s=config.max_delta_s,
         harvest_deadline_ms=config.harvest_deadline_ms)
     return EntropyService(config, ta, clock or monotonic_clock_ms)

@@ -39,7 +39,7 @@ from .errors import (
     OpenFailure,
     UnwrapFailure,
 )
-from .pool import Clock, EntropyPool, system_clock_ms
+from .pool import Clock, EntropyPool, system_clock_ceil_ms
 
 
 class TaCommand(enum.IntEnum):
@@ -75,7 +75,7 @@ class TrustedApplication:
     def __init__(self, identity: crypto.KeyPair, pool: EntropyPool, *,
                  sm_measurement: bytes,
                  ta_measurement: bytes | None = None,
-                 clock: Clock = system_clock_ms,
+                 clock: Clock = system_clock_ceil_ms,
                  rng: crypto.Rng = os.urandom,
                  max_delta_s: int = wire.DEFAULT_MAX_DELTA_S,
                  harvest_deadline_ms: int = 2000):

@@ -3,6 +3,10 @@ scenario files."""
 
 from __future__ import annotations
 
+import hashlib
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -247,3 +251,27 @@ class TestScenarioFiles:
         text = out.read_text()
         assert "result=success" in text
         assert "--- summary ---" in text
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["-m", "eaas.harness", "run", "--scenario",
+      "scripts/sample-scenario.conf", "--seed", "4"],
+     "a37d6a077c0f11b75fb5ead34606702aaeb24d0e939202a1206e5ea73ed8b7fa"),
+    (["scripts/attack_matrix.py", "--seed", "1"],
+     "51f8851efe2567448f08c3d86d116f57eb6147934f86b40ccb3c2c8988f74419"),
+    (["scripts/depletion_experiment.py", "--seed", "1"],
+     "04703f4eb6887a24a389f79cfb9e7de45d2f08f2e52605d801e4356fadc83596"),
+    (["scripts/entropy_quality.py", "--mib", "1", "--seed", "0"],
+     "8389457e4f7442ee0f6062a125c7eeafd90fd48c9676b25e2df3792634c324f6"),
+], ids=["sample-scenario", "attack-matrix", "depletion", "entropy-quality"])
+def test_report_is_pinned(argv, digest):
+    """Each shipped report, run with fresh keys, prints the same bytes:
+    the pool, protocol and report format all feed these digests."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, *argv], cwd=REPO, env=env,
+                            capture_output=True, timeout=300, check=True)
+    assert hashlib.sha256(result.stdout).hexdigest() == digest

@@ -12,6 +12,7 @@ import struct
 import subprocess
 import sys
 import threading
+import time
 from collections import Counter
 from fractions import Fraction
 from http.server import ThreadingHTTPServer
@@ -39,7 +40,7 @@ from eaas.errors import (
     KeyLoadFailure,
 )
 from eaas.harness import SimClock
-from eaas.pool import EntropyPool, monotonic_clock_ms, system_clock_ms
+from eaas.pool import EntropyPool, monotonic_clock_ms, system_clock_ceil_ms
 from eaas.server import (
     STATUS_MAP,
     EntropyService,
@@ -716,7 +717,31 @@ class TestWorkClock:
                                 Fraction(1 << 20))]))
         assert service._clock is monotonic_clock_ms
         assert service._ta._pool._clock is monotonic_clock_ms
-        assert service._ta._clock is system_clock_ms
+        assert service._ta._clock is system_clock_ceil_ms
+
+    def test_reply_within_t1_millisecond_verifies(
+            self, tmp_path, server_keypair, client_keypair, monkeypatch):
+        """Wall time frozen 0.4 ms into a millisecond: the client takes
+        t1 rounded down and the TA stamps t2 rounded up, so a reply
+        served within t1's own millisecond is fresh."""
+        monkeypatch.setattr(time, "time_ns",
+                            lambda: 1_750_000_000_000_400_000)
+        key_file = tmp_path / "tes_key.der"
+        crypto.write_private_key(key_file, server_keypair)
+        service = build_service(ServerConfig(
+            key_file=key_file,
+            sources=[SourceSpec("o", "os-random", Fraction(1),
+                                Fraction(1 << 20))]))
+        identity = client_mod.ClientIdentity(
+            keypair=client_keypair, server_public=server_keypair.public,
+            store_path=tmp_path)
+        body, t1 = client_mod.build_request(identity, 32)
+        status, reply, _ = service.handle_entropy(body)
+        assert (status, t1) == (200, 1_750_000_000_000)
+        entropy = client_mod.verify_response(
+            reply, t1=t1, delta_s=32, server_public=server_keypair.public,
+            secret_key=client_keypair.secret)
+        assert len(entropy) == 32
 
 
 def test_server_import_leaves_numpy_unloaded():
