@@ -19,6 +19,7 @@ import urllib.error
 import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from cryptography.hazmat.primitives.asymmetric import rsa
 
@@ -47,6 +48,34 @@ DEFAULT_TIMEOUT_S = 10.0
 MAX_RETRY_AFTER_S = 60.0     # longer Retry-After values are cut to this
 
 
+class _RequestKey(NamedTuple):
+    """A request session key, its wrap under the server key, and the one
+    request it seals."""
+
+    request: wire.EntropyRequest
+    session_key: bytes
+    wrapped_key: bytes
+
+    @classmethod
+    def draw(cls, server_public: rsa.RSAPublicKey,
+             request: wire.EntropyRequest, rng: crypto.Rng) -> _RequestKey:
+        session_key = rng(crypto.SESSION_KEY_LEN)
+        return cls(request, session_key,
+                   crypto.wrap_key(server_public, session_key))
+
+    def seal(self, rng: crypto.Rng, max_delta_s: int) -> bytes:
+        """The POST body: fingerprint || the request sealed under this key
+        with the next rng draw as nonce."""
+        plaintext = wire.encode_request(self.request, max_delta_s)
+        nonce = rng(wire.NONCE_LEN)
+        envelope = wire.SealedEnvelope(
+            wrapped_key=self.wrapped_key, nonce=nonce,
+            ciphertext=crypto.seal_payload(self.session_key, nonce,
+                                           plaintext))
+        return (wire.fingerprint(self.request.client_pub_key)
+                + wire.encode_envelope(envelope))
+
+
 @dataclass
 class ClientIdentity:
     """A provisioned device: its keypair and the pinned server key."""
@@ -57,6 +86,11 @@ class ClientIdentity:
     # (keypair, delta_s, sigma1) of the last binding signed; see
     # request_signature.
     _sigma1: tuple[crypto.KeyPair, int, bytes] | None = field(
+        init=False, default=None, repr=False, compare=False)
+    # (keypair, server_public, delta_s, request key) of the last binding
+    # sealed; see build_request.
+    _request_key: tuple[crypto.KeyPair, rsa.RSAPublicKey, int,
+                        _RequestKey] | None = field(
         init=False, default=None, repr=False, compare=False)
 
     @property
@@ -117,14 +151,31 @@ def build_request(identity: ClientIdentity, delta_s: int, *,
 
     Returns (body, t1). t1 stays client-local for the freshness check and
     is never transmitted.
+
+    The request (pk, delta_s, sigma1) is a static binding, so it is sealed
+    under one request key per binding: the identity keeps the last key
+    drawn from rng, its wrap under the server key and the request it
+    seals, and hands them out again while its keypair and server_public
+    objects and delta_s match. Each call then draws only a nonce, so the
+    envelope is fresh while its wrapped_key repeats and the server
+    unwraps it once. The memo is one tuple, replaced whole, so a key only
+    ever seals one request and a repeated nonce only repeats a
+    ciphertext.
     """
     if not 1 <= delta_s <= max_delta_s:
         raise FieldOutOfRange(f"delta_s {delta_s} outside [1, {max_delta_s}]")
     t1 = clock()
-    pub_der = identity.keypair.public_der
-    sigma1 = request_signature(identity, delta_s)
-    return seal_request(identity.server_public, pub_der, delta_s, sigma1,
-                        rng=rng, max_delta_s=max_delta_s), t1
+    keypair, server_public = identity.keypair, identity.server_public
+    memo = identity._request_key
+    if (memo is None or memo[0] is not keypair
+            or memo[1] is not server_public or memo[2] != delta_s):
+        request = wire.EntropyRequest(
+            client_pub_key=keypair.public_der, delta_s=delta_s,
+            sigma1=request_signature(identity, delta_s))
+        memo = (keypair, server_public, delta_s,
+                _RequestKey.draw(server_public, request, rng))
+        identity._request_key = memo
+    return memo[3].seal(rng, max_delta_s), t1
 
 
 def request_signature(identity: ClientIdentity, delta_s: int) -> bytes:
@@ -152,13 +203,12 @@ def seal_request(server_public: rsa.RSAPublicKey, pub_der: bytes,
                  delta_s: int, sigma1: bytes, *, rng: crypto.Rng,
                  max_delta_s: int) -> bytes:
     """The POST body: fingerprint(pub_der) || the request sealed for the
-    server. Fields are taken as given, even ones sigma1 does not cover."""
-    plaintext = wire.encode_request(
-        wire.EntropyRequest(client_pub_key=pub_der, delta_s=delta_s,
-                            sigma1=sigma1),
-        max_delta_s)
-    envelope = crypto.seal_message(server_public, plaintext, rng)
-    return wire.fingerprint(pub_der) + wire.encode_envelope(envelope)
+    server under a one-off key, drawn from rng before the nonce. Fields
+    are taken as given, even ones sigma1 does not cover."""
+    request = wire.EntropyRequest(client_pub_key=pub_der, delta_s=delta_s,
+                                  sigma1=sigma1)
+    return _RequestKey.draw(server_public, request, rng).seal(rng,
+                                                               max_delta_s)
 
 
 def verify_response(envelope_bytes: bytes, *, t1: int, delta_s: int,
@@ -180,9 +230,8 @@ def verify_response(envelope_bytes: bytes, *, t1: int, delta_s: int,
                              env.wrapped_key, env.nonce, env.ciphertext),
                          env.sigma2):
         raise BadServerSignature("sigma2 does not verify")
-    session_key = crypto.unwrap_key(secret_key, env.wrapped_key)
-    payload = crypto.open_payload(session_key, env.nonce, env.ciphertext)
-    response = wire.decode_response_payload(payload)
+    response = wire.decode_response_payload(
+        crypto.open_message(secret_key, env))
     if len(response.entropy) != delta_s:
         raise WrongQuantity(
             f"got {len(response.entropy)} bytes, requested {delta_s}")

@@ -81,9 +81,9 @@ def _parse_fraction(value: str, key: str) -> Fraction:
         raise ConfigError(f"{key}: {value!r} is not a number") from exc
 
 
-def _parse_int(value: str, key: str) -> int:
+def _parse_int(value: str, key: str, base: int = 10) -> int:
     try:
-        return int(value)
+        return int(value, base)
     except ValueError as exc:
         raise ConfigError(f"{key}: {value!r} is not an integer") from exc
 
@@ -110,13 +110,13 @@ def read_key_values(text: str) -> Iterator[tuple[int, str, str]]:
 
 def parse_config(text: str, base_dir: Path | None = None) -> ServerConfig:
     cfg = ServerConfig()
-    raw_sources: dict[str, dict[str, str]] = {}
+    raw_sources: dict[str, dict[str, tuple[int, str]]] = {}
     for lineno, key, value in read_key_values(text):
         if key.startswith("source."):
             parts = key.split(".")
             if len(parts) != 3 or parts[2] not in _SOURCE_FIELDS:
                 raise ConfigError(f"line {lineno}: bad source key {key!r}")
-            raw_sources.setdefault(parts[1], {})[parts[2]] = value
+            raw_sources.setdefault(parts[1], {})[parts[2]] = (lineno, value)
         elif key == "listen":
             cfg.listen_host, cfg.listen_port = _parse_listen(value)
         elif key == "max_delta_s":
@@ -143,25 +143,48 @@ def parse_config(text: str, base_dir: Path | None = None) -> ServerConfig:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
 
     for source_id, fields in raw_sources.items():
-        if "kind" not in fields:
-            raise ConfigError(f"source {source_id}: missing kind")
-        params = {k: v for k, v in fields.items()
-                  if k in ("seed", "value", "path")}
-        if "path" in params and base_dir is not None:
-            path = Path(params["path"])
-            if not path.is_absolute():
-                params["path"] = str(base_dir / path)
-        cfg.sources.append(SourceSpec(
-            source_id=source_id,
-            kind=fields["kind"],
-            density=_parse_fraction(fields.get("density", "1"),
-                                    f"source {source_id} density"),
-            max_rate=_parse_fraction(fields.get("max_rate", "1048576"),
-                                     f"source {source_id} max_rate"),
-            params=params))
+        cfg.sources.append(_parse_source(source_id, fields, base_dir))
 
     cfg.validate()
     return cfg
+
+
+def _parse_source(source_id: str, fields: dict[str, tuple[int, str]],
+                  base_dir: Path | None) -> SourceSpec:
+    """One source's SourceSpec from its (lineno, value) fields. Generator
+    parameters are checked here, so that a bad one names its line rather
+    than failing later in make_generator."""
+    if "kind" not in fields:
+        raise ConfigError(f"source {source_id}: missing kind")
+    params = {}
+    for name in ("seed", "value", "path"):
+        if name not in fields:
+            continue
+        lineno, value = fields[name]
+        where = f"line {lineno}: source {source_id} {name}"
+        if name == "seed":
+            _parse_int(value, where)
+        elif name == "value":
+            byte = _parse_int(value, where, 0)      # as make_generator reads it
+            if not 0 <= byte <= 255:
+                raise ConfigError(f"{where}: {byte} is not a byte")
+        else:
+            path = Path(value)
+            if base_dir is not None and not path.is_absolute():
+                path = base_dir / path
+            if not (path.is_file() and os.access(path, os.R_OK)):
+                raise ConfigError(f"{where}: {str(path)!r} is not a "
+                                  "readable file")
+            value = str(path)
+        params[name] = value
+    values = {name: value for name, (_, value) in fields.items()}
+    return SourceSpec(
+        source_id=source_id, kind=values["kind"],
+        density=_parse_fraction(values.get("density", "1"),
+                                f"source {source_id} density"),
+        max_rate=_parse_fraction(values.get("max_rate", "1048576"),
+                                 f"source {source_id} max_rate"),
+        params=params)
 
 
 def load_config(path: Path | str) -> ServerConfig:

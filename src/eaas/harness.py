@@ -39,7 +39,7 @@ from .errors import (
     UnwrapFailure,
     WrongQuantity,
 )
-from .pool import EntropyPool
+from .pool import EntropyPool, SourceDescriptor
 from .server import EntropyService
 from .sources import SourceSpec, register_sources
 from .stats import MIN_INPUT_BYTES, stats_suite
@@ -531,6 +531,9 @@ def parse_scenario(text: str) -> ScenarioSpec:
             elif key in ("throttle_capacity", "throttle_refill_rate",
                          "source_density", "source_max_rate"):
                 setattr(spec, key, Fraction(value))
+                # run_scenario builds every source from the last two.
+                SourceDescriptor("scenario", spec.source_density,
+                                 spec.source_max_rate)
             elif key in ("throttle_enabled", "collect_entropy"):
                 setattr(spec, key, value.lower() in ("1", "true", "yes"))
             else:

@@ -54,6 +54,8 @@ state under EAAS-RATCHET-V1).
 
 Health thresholds (4-sigma monobit, 20-byte repetition run, 3 consecutive
 failures to degrade) are deliberately plain and are constructor-tunable.
+A pull whose generator raises or returns the wrong length counts as one
+failure, so a dead source degrades instead of failing every harvest.
 """
 
 from __future__ import annotations
@@ -334,10 +336,10 @@ class EntropyPool:
         """source's blocks in stream order, `count` from the first pull
         and one from each later pull. A block that fails its health
         test, and a pull that yields nothing, give b"". Each verdict
-        counts when its block is taken; once the source degrades it
-        gives b"" for good."""
+        counts when its block is taken, a failing pull's when it is made;
+        once the source degrades it gives b"" for good."""
         bb = self._block_bytes
-        while True:
+        while source.health is HealthState.HEALTHY:
             chunk = self._pull(source, count)
             count = 1
             if not chunk:
@@ -351,24 +353,37 @@ class EntropyPool:
                     source.consecutive_failures = 0
                     yield chunk[j * bb:(j + 1) * bb]
                     continue
-                source.consecutive_failures += 1
-                if source.consecutive_failures >= self._degrade_after:
-                    source.health = HealthState.DEGRADED
-                    yield from repeat(b"")
+                if self._fail(source):
+                    break
                 yield b""
+        yield from repeat(b"")
 
     def _pull(self, source: _Source, blocks: int) -> bytes:
         """`blocks` blocks from one generator call, debited at once, if
-        the allowance covers them all. Returns b"" otherwise, or when the
-        generator returns the wrong length (nothing is debited then)."""
+        the allowance covers them all. Returns b"" otherwise. A generator
+        that raises an Exception or returns the wrong length gives b"" too;
+        that pull debits nothing and counts as one failing block."""
         size = blocks * self._block_bytes
         if source.refill(self._clock()) < size * source.unit:
             return b""
-        chunk = source.generator(size)
-        if len(chunk) != size:
+        try:
+            chunk = source.generator(size)
+            whole = len(chunk) == size
+        except Exception:
+            whole = False
+        if not whole:
+            self._fail(source)
             return b""
         source.allowance -= size * source.unit
         return chunk
+
+    def _fail(self, source: _Source) -> bool:
+        """Count one failing block against source; True once it has
+        degraded."""
+        source.consecutive_failures += 1
+        if source.consecutive_failures >= self._degrade_after:
+            source.health = HealthState.DEGRADED
+        return source.health is HealthState.DEGRADED
 
     def _append(self, data: bytes, *credits: int) -> None:
         """Add len(credits) records of equal length, together data, to

@@ -219,6 +219,17 @@ class TestScenarioFiles:
         with pytest.raises(ConfigError, match="^line 1: "):
             parse_scenario(f"action.0 = drop:0\nkind = {kind}\n")
 
+    @pytest.mark.parametrize("line", [
+        "source_density = 2",
+        "source_density = 0",
+        "source_max_rate = 0",
+    ])
+    def test_bad_source_values_name_their_line(self, line):
+        """Rejected here, not as a ValueError from SourceDescriptor once
+        run_scenario builds the sources."""
+        with pytest.raises(ConfigError, match="^line 2: "):
+            parse_scenario(f"kind = fleet\n{line}\n")
+
     @pytest.mark.parametrize("parse", [parse_config, parse_scenario])
     def test_missing_equals_same_error_in_both_formats(self, parse):
         with pytest.raises(ConfigError,

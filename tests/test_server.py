@@ -350,6 +350,33 @@ class TestConfig:
         with pytest.raises(ConfigError):
             cfg = parse_config(line + "\n")
 
+    @pytest.mark.parametrize("kind, line", [
+        ("simulated-sensor", "seed = abc"),
+        ("constant", "value = zz"),
+        ("constant", "value = 256"),
+        ("constant", "value = -1"),
+        ("file-replay", "path = {tmp}/missing"),
+        ("file-replay", "path = {tmp}"),
+    ])
+    def test_bad_source_parameter_names_its_line(self, tmp_path, kind,
+                                                 line):
+        """Rejected with its line number here, not as a ValueError or
+        FileNotFoundError once build_service makes the generator."""
+        text = (f"source.x.kind = {kind}\n"
+                f"source.x.{line.format(tmp=tmp_path)}\n")
+        with pytest.raises(ConfigError, match="^line 2: source x "):
+            parse_config(text)
+
+    def test_good_source_parameters_parse(self, tmp_path):
+        (tmp_path / "tape.bin").write_bytes(b"\x01\x02")
+        cfg = parse_config("source.c.kind = constant\n"
+                           "source.c.value = 0x5a\n"
+                           "source.f.kind = file-replay\n"
+                           "source.f.path = tape.bin\n",
+                           base_dir=tmp_path)
+        assert [s.params for s in cfg.sources] == [
+            {"value": "0x5a"}, {"path": str(tmp_path / "tape.bin")}]
+
     def test_shipped_sample_loads(self, monkeypatch):
         monkeypatch.delenv("EAAS_LISTEN", raising=False)
         monkeypatch.delenv("EAAS_MAX_DELTA_S", raising=False)
