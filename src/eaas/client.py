@@ -83,13 +83,8 @@ class ClientIdentity:
     keypair: crypto.KeyPair
     server_public: rsa.RSAPublicKey
     store_path: Path
-    # (keypair, delta_s, sigma1) of the last binding signed; see
-    # request_signature.
-    _sigma1: tuple[crypto.KeyPair, int, bytes] | None = field(
-        init=False, default=None, repr=False, compare=False)
-    # (keypair, server_public, delta_s, request key) of the last binding
-    # sealed; see build_request.
-    _request_key: tuple[crypto.KeyPair, rsa.RSAPublicKey, int,
+    # (keypair, server_public, request key) of the last binding sealed
+    _request_key: tuple[crypto.KeyPair, rsa.RSAPublicKey,
                         _RequestKey] | None = field(
         init=False, default=None, repr=False, compare=False)
 
@@ -167,36 +162,30 @@ def build_request(identity: ClientIdentity, delta_s: int, *,
     t1 = clock()
     keypair, server_public = identity.keypair, identity.server_public
     memo = identity._request_key
-    if (memo is None or memo[0] is not keypair
-            or memo[1] is not server_public or memo[2] != delta_s):
+    if (memo is None or memo[0] is not keypair or memo[1] is not server_public
+            or memo[2].request.delta_s != delta_s):
         request = wire.EntropyRequest(
             client_pub_key=keypair.public_der, delta_s=delta_s,
             sigma1=request_signature(identity, delta_s))
-        memo = (keypair, server_public, delta_s,
+        memo = (keypair, server_public,
                 _RequestKey.draw(server_public, request, rng))
         identity._request_key = memo
-    return memo[3].seal(rng, max_delta_s), t1
+    return memo[2].seal(rng, max_delta_s), t1
 
 
 def request_signature(identity: ClientIdentity, delta_s: int) -> bytes:
-    """sigma1 over (identity's public key, delta_s).
-
-    The signed bytes hold no nonce or time, so sigma1 is a static binding
-    and is signed once per (keypair, delta_s): the identity keeps the
-    last one and hands it out again while its keypair object and delta_s
-    match. Freshness comes from the sealed envelope and t1/t2, never from
-    sigma1. The memo is one tuple, replaced whole, so threads sharing an
-    identity can at worst both sign.
-    """
+    """sigma1 over (identity's public key, delta_s): the one in the request
+    build_request keeps, while its keypair object and delta_s match, else
+    a fresh signature that is not kept. The signed bytes hold no nonce or
+    time; freshness comes from the sealed envelope and t1/t2."""
     keypair = identity.keypair
-    memo = identity._sigma1
-    if memo is not None and memo[0] is keypair and memo[1] == delta_s:
-        return memo[2]
-    sigma1 = crypto.sign(keypair.secret, crypto.REQUEST_TAG,
-                         crypto.request_signing_bytes(keypair.public_der,
-                                                      delta_s))
-    identity._sigma1 = (keypair, delta_s, sigma1)
-    return sigma1
+    memo = identity._request_key
+    if (memo is not None and memo[0] is keypair
+            and memo[2].request.delta_s == delta_s):
+        return memo[2].request.sigma1
+    return crypto.sign(keypair.secret, crypto.REQUEST_TAG,
+                       crypto.request_signing_bytes(keypair.public_der,
+                                                    delta_s))
 
 
 def seal_request(server_public: rsa.RSAPublicKey, pub_der: bytes,

@@ -17,24 +17,35 @@ Example::
 
 Lines starting with ``#`` and blank lines are ignored. Environment
 variables EAAS_LISTEN and EAAS_MAX_DELTA_S override the file.
+
+Each value is checked as it is read, by the code that uses it
+(ServerConfig.validate, SourceDescriptor, sources.read_param). A bad
+file is a ConfigError naming the first line after which the text read
+so far is invalid, so a range error names the line that set the value.
+A source with no kind, or a file-replay source with no path, is only
+known at the end of the file; those errors name the source.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterator
 
+from . import wire
 from .errors import ConfigError
-from .sources import SOURCE_KINDS, SourceSpec
+from .pool import SourceDescriptor
+from .sources import (SOURCE_KINDS, SOURCE_PARAMS, SourceSpec, make_generator,
+                      read_param)
 
 DEFAULT_PLATFORM_MEASUREMENT = hashlib.sha256(
     b"eaas-reference-platform-v1").digest()
 
-_SOURCE_FIELDS = ("kind", "density", "max_rate", "seed", "value", "path")
+_SOURCE_FIELDS = ("kind", "density", "max_rate") + SOURCE_PARAMS
 
 
 @dataclass
@@ -51,48 +62,26 @@ class ServerConfig:
     sm_measurement: bytes = DEFAULT_PLATFORM_MEASUREMENT
 
     def validate(self) -> None:
-        if self.max_delta_s <= 0:
-            raise ConfigError("max_delta_s must be positive")
-        if self.throttle_capacity <= 0:
-            raise ConfigError("throttle_capacity must be positive")
-        if self.throttle_refill_rate <= 0:
-            raise ConfigError("throttle_refill_rate must be positive")
-        if self.harvest_deadline_ms <= 0:
-            raise ConfigError("harvest_deadline_ms must be positive")
+        for name in ("max_delta_s", "throttle_capacity",
+                     "throttle_refill_rate", "harvest_deadline_ms"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive")
         if not 0 < self.listen_port < 65536:
             raise ConfigError("listen port out of range")
         if self.clock_mode not in ("system", "injected"):
             raise ConfigError("clock must be 'system' or 'injected'")
-        for spec in self.sources:
-            if spec.kind not in SOURCE_KINDS:
-                raise ConfigError(f"unknown source kind {spec.kind!r}")
-            if not 0 < spec.density <= 1:
-                raise ConfigError(
-                    f"source {spec.source_id}: density must be in (0, 1]")
-            if spec.max_rate <= 0:
-                raise ConfigError(
-                    f"source {spec.source_id}: max_rate must be positive")
+        if len(self.sm_measurement) != wire.MEASUREMENT_LEN:
+            raise ConfigError("sm_measurement must be 32 bytes")
 
 
-def _parse_fraction(value: str, key: str) -> Fraction:
+@contextmanager
+def reading(where: str) -> Iterator[None]:
+    """Raise an error of reading one operator-set value as a ConfigError
+    prefixed with where it was set ("line 3", "EAAS_LISTEN")."""
     try:
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"{key}: {value!r} is not a number") from exc
-
-
-def _parse_int(value: str, key: str, base: int = 10) -> int:
-    try:
-        return int(value, base)
-    except ValueError as exc:
-        raise ConfigError(f"{key}: {value!r} is not an integer") from exc
-
-
-def _parse_listen(value: str) -> tuple[str, int]:
-    host, sep, port = value.rpartition(":")
-    if not sep:
-        raise ConfigError(f"listen must be host:port, got {value!r}")
-    return host, _parse_int(port, "listen port")
+        yield
+    except (ValueError, ZeroDivisionError, OSError, ConfigError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def read_key_values(text: str) -> Iterator[tuple[int, str, str]]:
@@ -110,81 +99,69 @@ def read_key_values(text: str) -> Iterator[tuple[int, str, str]]:
 
 def parse_config(text: str, base_dir: Path | None = None) -> ServerConfig:
     cfg = ServerConfig()
-    raw_sources: dict[str, dict[str, tuple[int, str]]] = {}
+    sources: dict[str, SourceSpec] = {}
     for lineno, key, value in read_key_values(text):
-        if key.startswith("source."):
-            parts = key.split(".")
-            if len(parts) != 3 or parts[2] not in _SOURCE_FIELDS:
-                raise ConfigError(f"line {lineno}: bad source key {key!r}")
-            raw_sources.setdefault(parts[1], {})[parts[2]] = (lineno, value)
-        elif key == "listen":
-            cfg.listen_host, cfg.listen_port = _parse_listen(value)
-        elif key == "max_delta_s":
-            cfg.max_delta_s = _parse_int(value, key)
-        elif key == "throttle_capacity":
-            cfg.throttle_capacity = _parse_fraction(value, key)
-        elif key == "throttle_refill_rate":
-            cfg.throttle_refill_rate = _parse_fraction(value, key)
-        elif key == "key_file":
-            path = Path(value)
-            if base_dir is not None and not path.is_absolute():
-                path = base_dir / path
-            cfg.key_file = path
-        elif key == "clock":
-            cfg.clock_mode = value
-        elif key == "harvest_deadline_ms":
-            cfg.harvest_deadline_ms = _parse_int(value, key)
-        elif key == "sm_measurement":
-            try:
-                cfg.sm_measurement = bytes.fromhex(value)
-            except ValueError as exc:
-                raise ConfigError(f"line {lineno}: bad hex digest") from exc
-        else:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-
-    for source_id, fields in raw_sources.items():
-        cfg.sources.append(_parse_source(source_id, fields, base_dir))
-
-    cfg.validate()
+        with reading(f"line {lineno}"):
+            if key.startswith("source."):
+                _read_source_line(sources, key, value, base_dir)
+            else:
+                _read_scalar(cfg, key, value, base_dir)
+                cfg.validate()
+    for spec in sources.values():
+        if not spec.kind:
+            raise ConfigError(f"source {spec.source_id}: missing kind")
+        make_generator(spec)        # a file-replay source needs a path
+    cfg.sources = list(sources.values())
     return cfg
 
 
-def _parse_source(source_id: str, fields: dict[str, tuple[int, str]],
-                  base_dir: Path | None) -> SourceSpec:
-    """One source's SourceSpec from its (lineno, value) fields. Generator
-    parameters are checked here, so that a bad one names its line rather
-    than failing later in make_generator."""
-    if "kind" not in fields:
-        raise ConfigError(f"source {source_id}: missing kind")
-    params = {}
-    for name in ("seed", "value", "path"):
-        if name not in fields:
-            continue
-        lineno, value = fields[name]
-        where = f"line {lineno}: source {source_id} {name}"
-        if name == "seed":
-            _parse_int(value, where)
-        elif name == "value":
-            byte = _parse_int(value, where, 0)      # as make_generator reads it
-            if not 0 <= byte <= 255:
-                raise ConfigError(f"{where}: {byte} is not a byte")
-        else:
-            path = Path(value)
-            if base_dir is not None and not path.is_absolute():
-                path = base_dir / path
-            if not (path.is_file() and os.access(path, os.R_OK)):
-                raise ConfigError(f"{where}: {str(path)!r} is not a "
-                                  "readable file")
-            value = str(path)
-        params[name] = value
-    values = {name: value for name, (_, value) in fields.items()}
-    return SourceSpec(
-        source_id=source_id, kind=values["kind"],
-        density=_parse_fraction(values.get("density", "1"),
-                                f"source {source_id} density"),
-        max_rate=_parse_fraction(values.get("max_rate", "1048576"),
-                                 f"source {source_id} max_rate"),
-        params=params)
+def _read_scalar(cfg: ServerConfig, key: str, value: str,
+                 base_dir: Path | None) -> None:
+    if key == "listen":
+        host, sep, port = value.rpartition(":")
+        if not sep:
+            raise ConfigError(f"listen must be host:port, got {value!r}")
+        cfg.listen_host, cfg.listen_port = host, int(port)
+    elif key == "max_delta_s":
+        cfg.max_delta_s = int(value)
+    elif key == "throttle_capacity":
+        cfg.throttle_capacity = Fraction(value)
+    elif key == "throttle_refill_rate":
+        cfg.throttle_refill_rate = Fraction(value)
+    elif key == "key_file":
+        cfg.key_file = (base_dir or Path()) / value
+    elif key == "clock":
+        cfg.clock_mode = value
+    elif key == "harvest_deadline_ms":
+        cfg.harvest_deadline_ms = int(value)
+    elif key == "sm_measurement":
+        cfg.sm_measurement = bytes.fromhex(value)
+    else:
+        raise ConfigError(f"unknown key {key!r}")
+
+
+def _read_source_line(sources: dict[str, SourceSpec], key: str, value: str,
+                      base_dir: Path | None) -> None:
+    """Apply one source.<id>.<field> line to that source, and check it."""
+    parts = key.split(".")
+    if len(parts) != 3 or parts[2] not in _SOURCE_FIELDS:
+        raise ConfigError(f"bad source key {key!r}")
+    _, source_id, name = parts
+    spec = sources.get(source_id) or SourceSpec(
+        source_id, kind="", density=Fraction(1), max_rate=Fraction(1 << 20))
+    if name == "kind":
+        if value not in SOURCE_KINDS:
+            raise ConfigError(f"source {source_id}: unknown kind {value!r}")
+        spec = replace(spec, kind=value)
+    elif name in SOURCE_PARAMS:
+        if name == "path":
+            value = str((base_dir or Path()) / value)
+        spec = replace(spec, params={**spec.params, name: value})
+        read_param(spec, name)
+    else:                                   # density or max_rate
+        spec = replace(spec, **{name: Fraction(value)})
+        SourceDescriptor(source_id, spec.density, spec.max_rate)
+    sources[source_id] = spec
 
 
 def load_config(path: Path | str) -> ServerConfig:
@@ -196,10 +173,10 @@ def load_config(path: Path | str) -> ServerConfig:
 def apply_env_overrides(cfg: ServerConfig,
                         environ: dict[str, str] | None = None) -> ServerConfig:
     env = os.environ if environ is None else environ
-    if "EAAS_LISTEN" in env:
-        cfg.listen_host, cfg.listen_port = _parse_listen(env["EAAS_LISTEN"])
-    if "EAAS_MAX_DELTA_S" in env:
-        cfg.max_delta_s = _parse_int(env["EAAS_MAX_DELTA_S"],
-                                     "EAAS_MAX_DELTA_S")
-    cfg.validate()
+    for name, key in (("EAAS_LISTEN", "listen"),
+                      ("EAAS_MAX_DELTA_S", "max_delta_s")):
+        if name in env:
+            with reading(name):
+                _read_scalar(cfg, key, env[name], None)
+                cfg.validate()
     return cfg

@@ -29,7 +29,7 @@ from pathlib import Path
 from . import client as client_mod
 from . import crypto, wire
 from .config import (DEFAULT_PLATFORM_MEASUREMENT, ServerConfig,
-                     read_key_values)
+                     read_key_values, reading)
 from .errors import (
     BadServerSignature,
     ConfigError,
@@ -193,6 +193,18 @@ _CLIENT_ERRORS = {
 }
 
 
+def _server_config(spec: ScenarioSpec) -> ServerConfig:
+    """The server config a scenario runs under, checked as a file's is."""
+    config = ServerConfig(
+        max_delta_s=spec.max_delta_s,
+        throttle_capacity=(spec.throttle_capacity if spec.throttle_enabled
+                           else Fraction(10 ** 12)),
+        throttle_refill_rate=spec.throttle_refill_rate,
+        harvest_deadline_ms=spec.harvest_deadline_ms, clock_mode="injected")
+    config.validate()
+    return config
+
+
 class _Simulation:
     """In-process server plus provisioned identities on a shared clock."""
 
@@ -211,15 +223,7 @@ class _Simulation:
                        params={"seed": str(seed * 1009 + i)})
             for i in range(spec.n_sources)
         ]
-        capacity = (spec.throttle_capacity if spec.throttle_enabled
-                    else Fraction(10 ** 12))
-        config = ServerConfig(
-            max_delta_s=spec.max_delta_s,
-            throttle_capacity=capacity,
-            throttle_refill_rate=spec.throttle_refill_rate,
-            harvest_deadline_ms=spec.harvest_deadline_ms,
-            clock_mode="injected",
-        )
+        config = _server_config(spec)
         self.pool = EntropyPool(self.clock.now)
         register_sources(self.pool, sources)
         self.server_keypair = crypto.generate_keypair()
@@ -508,11 +512,13 @@ def depletion_scenario(flood_rate: int, duration_s: int,
 
 
 def parse_scenario(text: str) -> ScenarioSpec:
-    """Flat key = value scenario description; see sample files."""
+    """Flat key = value scenario description; see sample files. Lines are
+    read and named in errors as in parse_config."""
     spec = ScenarioSpec()
     actions: list[tuple[int, int, AdversaryAction]] = []
+    delta_s_line = 0     # the later of the delta_s and max_delta_s lines
     for lineno, key, value in read_key_values(text):
-        try:
+        with reading(f"line {lineno}"):
             if key.startswith("action."):
                 order = int(key.split(".", 1)[1])
                 kind_name, _, rest = value.partition(":")
@@ -522,26 +528,35 @@ def parse_scenario(text: str) -> ScenarioSpec:
                     target=int(target_str),
                     parameter=int(param) if param else None)))
             elif key == "kind":
+                if value not in ("fleet", "adversary", "depletion"):
+                    raise ConfigError(f"unknown scenario kind {value!r}")
                 spec.kind = value
             elif key in ("n_clients", "requests_per_client", "delta_s",
                          "max_delta_s", "step_ms", "n_sources",
                          "harvest_deadline_ms", "flood_rate", "duration_s",
                          "honest_clients"):
                 setattr(spec, key, int(value))
+                if getattr(spec, key) < 0:
+                    raise ConfigError(f"{key} must not be negative")
+                if key in ("delta_s", "max_delta_s"):
+                    delta_s_line = lineno
             elif key in ("throttle_capacity", "throttle_refill_rate",
                          "source_density", "source_max_rate"):
                 setattr(spec, key, Fraction(value))
-                # run_scenario builds every source from the last two.
-                SourceDescriptor("scenario", spec.source_density,
-                                 spec.source_max_rate)
             elif key in ("throttle_enabled", "collect_entropy"):
+                if value.lower() not in ("1", "true", "yes", "0", "false",
+                                         "no"):
+                    raise ConfigError(f"{key} must be true or false")
                 setattr(spec, key, value.lower() in ("1", "true", "yes"))
             else:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"line {lineno}: {exc}") from exc
-    if spec.kind not in ("fleet", "adversary", "depletion"):
-        raise ConfigError(f"unknown scenario kind {spec.kind!r}")
+                raise ConfigError(f"unknown key {key!r}")
+            # run_scenario builds every source from these two.
+            SourceDescriptor("scenario", spec.source_density,
+                             spec.source_max_rate)
+            _server_config(spec)
+    if not 1 <= spec.delta_s <= spec.max_delta_s:
+        raise ConfigError(f"line {delta_s_line}: delta_s {spec.delta_s} "
+                          f"outside [1, {spec.max_delta_s}]")
     if actions and spec.kind != "adversary":
         raise ConfigError(f"line {actions[0][1]}: action.* only applies "
                           "to kind = adversary")

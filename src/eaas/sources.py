@@ -21,6 +21,7 @@ from .errors import ConfigError
 from .pool import EntropyPool, Generator, SourceDescriptor
 
 SOURCE_KINDS = ("os-random", "simulated-sensor", "file-replay", "constant")
+SOURCE_PARAMS = ("seed", "value", "path")
 
 
 @dataclass(frozen=True)
@@ -34,26 +35,43 @@ class SourceSpec:
     params: dict[str, str] = field(default_factory=dict)
 
 
+def read_param(spec: SourceSpec, name: str) -> int | bytes:
+    """Generator parameter name of spec, as make_generator reads it: seed
+    an integer (default 0), value an integer in any base int() reads, 0 to
+    255 (default 0), and path the bytes of a non-empty regular file.
+    Anything else is a ConfigError naming the source."""
+    text = spec.params.get(name, None if name == "path" else "0")
+    if text is None:
+        raise ConfigError(f"source {spec.source_id}: {spec.kind} needs a path")
+    try:
+        if name == "seed":
+            return int(text)
+        if name == "value":
+            value = int(text, 0)
+            if not 0 <= value <= 255:
+                raise ValueError(f"{value} is not a byte")
+            return value
+        path = Path(text)
+        if not path.is_file():
+            raise ValueError(f"{text!r} is not a regular file")
+        data = path.read_bytes()
+        if not data:
+            raise ValueError(f"{text!r} is empty")
+        return data
+    except (ValueError, OSError) as exc:
+        raise ConfigError(f"source {spec.source_id} {name}: {exc}") from exc
+
+
 def make_generator(spec: SourceSpec) -> Generator:
     if spec.kind == "os-random":
         return os.urandom
     if spec.kind == "simulated-sensor":
-        prng = random.Random(int(spec.params.get("seed", "0")))
-        return prng.randbytes
+        return random.Random(read_param(spec, "seed")).randbytes
     if spec.kind == "constant":
-        value = int(spec.params.get("value", "0"), 0)
-        if not 0 <= value <= 255:
-            raise ConfigError(f"constant value {value} not a byte")
-        pattern = bytes([value])
+        pattern = bytes([read_param(spec, "value")])
         return lambda n: pattern * n
     if spec.kind == "file-replay":
-        path = spec.params.get("path")
-        if not path:
-            raise ConfigError(f"source {spec.source_id}: file-replay "
-                              "needs a path")
-        data = Path(path).read_bytes()
-        if not data:
-            raise ConfigError(f"source {spec.source_id}: replay file empty")
+        data = read_param(spec, "path")
         offset = 0
 
         def replay(n: int) -> bytes:
@@ -66,7 +84,7 @@ def make_generator(spec: SourceSpec) -> Generator:
             return bytes(out)
 
         return replay
-    raise ConfigError(f"unknown source kind {spec.kind!r}")
+    raise ConfigError(f"source {spec.source_id}: unknown kind {spec.kind!r}")
 
 
 def register_sources(pool: EntropyPool, specs: list[SourceSpec]) -> None:

@@ -230,6 +230,29 @@ class TestScenarioFiles:
         with pytest.raises(ConfigError, match="^line 2: "):
             parse_scenario(f"kind = fleet\n{line}\n")
 
+    @pytest.mark.parametrize("line", [
+        "throttle_refill_rate = 0",
+        "throttle_capacity = 0",
+        "harvest_deadline_ms = 0",
+        "max_delta_s = 0",
+        "honest_clients = -1",
+        "delta_s = 0",
+        "throttle_enabled = ture",
+    ])
+    def test_bad_value_names_its_line(self, line):
+        """Refused here as a server config refuses it, not as a
+        ZeroDivisionError, IndexError or FieldOutOfRange mid-run."""
+        with pytest.raises(ConfigError, match="^line 2: "):
+            parse_scenario(f"kind = depletion\n{line}\n")
+
+    def test_delta_s_range_names_the_later_line(self):
+        spec = parse_scenario("max_delta_s = 16\ndelta_s = 16\n")
+        assert (spec.delta_s, spec.max_delta_s) == (16, 16)
+        with pytest.raises(ConfigError, match="^line 3: delta_s 32 "):
+            parse_scenario("kind = fleet\ndelta_s = 32\nmax_delta_s = 16\n")
+        with pytest.raises(ConfigError, match="^line 1: delta_s 32 "):
+            parse_scenario("max_delta_s = 16\n")
+
     @pytest.mark.parametrize("parse", [parse_config, parse_scenario])
     def test_missing_equals_same_error_in_both_formats(self, parse):
         with pytest.raises(ConfigError,

@@ -19,7 +19,7 @@ from conftest import make_stack
 from eaas import client as client_mod
 from eaas import crypto, trusted, wire
 from eaas.trusted import TaStatus
-from test_client import make_identity, ta_status
+from test_client import count_signs, make_identity, ta_status
 
 
 class PrivateOps:
@@ -220,6 +220,22 @@ class TestClientMemo:
         fourth = envelope(client_mod.build_request(identity, 48)[0]
                           ).wrapped_key
         assert fourth not in (first, second, third)
+
+    def test_sigma1_comes_from_the_sealed_request(self, monkeypatch,
+                                                  server_keypair,
+                                                  client_keypair):
+        """One memo per binding: sigma1 for the sealed binding is the
+        memo's; another delta_s is signed on each call and kept nowhere."""
+        identity = make_identity(client_keypair, server_keypair)
+        client_mod.build_request(identity, 32)
+        memo = identity._request_key
+        calls = count_signs(monkeypatch)
+        assert client_mod.request_signature(identity, 32) \
+            == memo[2].request.sigma1
+        assert not calls
+        client_mod.request_signature(identity, 48)
+        client_mod.request_signature(identity, 48)
+        assert len(calls) == 2 and identity._request_key is memo
 
     def test_steady_state_draws_only_a_nonce(self, server_keypair,
                                              client_keypair):

@@ -377,6 +377,42 @@ class TestConfig:
         assert [s.params for s in cfg.sources] == [
             {"value": "0x5a"}, {"path": str(tmp_path / "tape.bin")}]
 
+    @pytest.mark.parametrize("line", [
+        "max_delta_s = abc",
+        "max_delta_s = -5",
+        "throttle_capacity = 0",
+        "listen = h:99999",
+        "clock = lunar",
+        "sm_measurement = abcd",
+        "source.x.density = 2",
+        "source.x.max_rate = abc",
+    ])
+    def test_bad_value_names_its_line(self, line):
+        """Each value is checked on the line that sets it, so a range
+        error names that line too; sm_measurement = abcd would otherwise
+        parse and fail in build_service."""
+        with pytest.raises(ConfigError, match="^line 2: "):
+            parse_config(f"source.x.kind = os-random\n{line}\n")
+
+    def test_errors_known_at_the_end_name_the_source(self):
+        with pytest.raises(ConfigError, match="^source x: missing kind$"):
+            parse_config("source.x.density = 1/2\n")
+        with pytest.raises(ConfigError, match="^source x: file-replay "
+                                              "needs a path$"):
+            parse_config("source.x.kind = file-replay\n")
+
+    def test_empty_replay_file_names_its_line(self, tmp_path):
+        """Refused as make_generator refuses it, at load rather than in
+        build_service."""
+        (tmp_path / "empty.bin").write_bytes(b"")
+        with pytest.raises(ConfigError, match="^line 2: source x path: "):
+            parse_config("source.x.kind = file-replay\n"
+                         "source.x.path = empty.bin\n", base_dir=tmp_path)
+
+    def test_env_override_names_its_variable(self):
+        with pytest.raises(ConfigError, match="^EAAS_MAX_DELTA_S: "):
+            apply_env_overrides(parse_config(""), {"EAAS_MAX_DELTA_S": "-1"})
+
     def test_shipped_sample_loads(self, monkeypatch):
         monkeypatch.delenv("EAAS_LISTEN", raising=False)
         monkeypatch.delenv("EAAS_MAX_DELTA_S", raising=False)
