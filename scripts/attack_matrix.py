@@ -9,7 +9,7 @@ from eaas.harness import (
     AdversaryAction,
     AdversaryKind,
     ScenarioSpec,
-    run_adversary,
+    run_scenario,
 )
 
 ACTIONS = [
@@ -32,14 +32,15 @@ def main():
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
 
-    spec = ScenarioSpec(n_clients=1, requests_per_client=len(ACTIONS) + 2,
-                        throttle_capacity=Fraction(1000))
     actions = [AdversaryAction(kind, target=i)
                for i, kind in enumerate(ACTIONS)]
     # replay the first clean request's response into the following one
     actions.append(AdversaryAction(AdversaryKind.REPLAY_RESPONSE,
                                    target=len(ACTIONS)))
-    report = run_adversary(spec, actions, seed=args.seed)
+    spec = ScenarioSpec(kind="adversary", n_clients=1,
+                        requests_per_client=len(ACTIONS) + 2,
+                        throttle_capacity=Fraction(1000), actions=actions)
+    report = run_scenario(spec, seed=args.seed)
 
     print(f"{'action':28s} outcome")
     print("-" * 50)

@@ -9,7 +9,7 @@ flood drains the slow sources and honest clients see entropy-depleted.
 import argparse
 from fractions import Fraction
 
-from eaas.harness import ScenarioSpec, depletion_scenario
+from eaas.harness import ScenarioSpec, run_scenario
 
 
 def summarize(label, report):
@@ -33,17 +33,16 @@ def main():
     parser.add_argument("--honest", type=int, default=4)
     args = parser.parse_args()
 
-    slow = dict(source_max_rate=Fraction(256),
-                source_density=Fraction(3, 4))
+    run = dict(kind="depletion", flood_rate=args.flood_rate,
+               duration_s=args.duration, honest_clients=args.honest,
+               source_max_rate=Fraction(256), source_density=Fraction(3, 4))
 
-    report = depletion_scenario(
-        args.flood_rate, args.duration, args.honest, seed=args.seed,
-        spec=ScenarioSpec(**slow, throttle_enabled=True))
+    report = run_scenario(ScenarioSpec(**run, throttle_enabled=True),
+                          args.seed)
     summarize("throttle ON  (C=5, r=1/s)", report)
 
-    report = depletion_scenario(
-        args.flood_rate, args.duration, args.honest, seed=args.seed,
-        spec=ScenarioSpec(**slow, throttle_enabled=False))
+    report = run_scenario(ScenarioSpec(**run, throttle_enabled=False),
+                          args.seed)
     summarize("throttle OFF (unbounded)", report)
 
 

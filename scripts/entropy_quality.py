@@ -9,17 +9,18 @@ import argparse
 from fractions import Fraction
 
 from eaas import client as eaas_client
-from eaas.harness import ScenarioSpec, run_fleet
+from eaas.harness import ScenarioSpec, run_scenario
 from eaas.stats import stats_suite
 
 
 def via_simulation(mib: int, seed: int) -> None:
     delta_s = 16_384
     requests = mib * (1 << 20) // delta_s
-    spec = ScenarioSpec(delta_s=delta_s, max_delta_s=delta_s,
+    spec = ScenarioSpec(n_clients=1, requests_per_client=requests,
+                        delta_s=delta_s, max_delta_s=delta_s,
                         throttle_capacity=Fraction(10 ** 6),
                         collect_entropy=True)
-    report = run_fleet(1, requests, delta_s, seed, spec=spec)
+    report = run_scenario(spec, seed)
     print(report.to_text())
 
 

@@ -74,6 +74,22 @@ class ServerConfig:
             raise ConfigError("sm_measurement must be 32 bytes")
 
 
+# Longest text, and largest decimal exponent either way, of a number an
+# operator sets. A rational is read exactly, and Fraction expands
+# 10**exponent in full: Fraction("1e10000000") alone takes seconds.
+_NUMBER_MAX = 100
+
+
+def read_fraction(text: str) -> Fraction:
+    """An operator-set number, read exactly, with its text bounded."""
+    exponent = text.lower().partition("e")[2].lstrip("+-").replace("_", "")
+    if len(text) > _NUMBER_MAX or (exponent.isdecimal()
+                                   and int(exponent) > _NUMBER_MAX):
+        raise ValueError(f"a number is at most {_NUMBER_MAX} characters "
+                         f"with an exponent of at most {_NUMBER_MAX}")
+    return Fraction(text)
+
+
 @contextmanager
 def reading(where: str) -> Iterator[None]:
     """Raise an error of reading one operator-set value as a ConfigError
@@ -125,9 +141,9 @@ def _read_scalar(cfg: ServerConfig, key: str, value: str,
     elif key == "max_delta_s":
         cfg.max_delta_s = int(value)
     elif key == "throttle_capacity":
-        cfg.throttle_capacity = Fraction(value)
+        cfg.throttle_capacity = read_fraction(value)
     elif key == "throttle_refill_rate":
-        cfg.throttle_refill_rate = Fraction(value)
+        cfg.throttle_refill_rate = read_fraction(value)
     elif key == "key_file":
         cfg.key_file = (base_dir or Path()) / value
     elif key == "clock":
@@ -159,7 +175,7 @@ def _read_source_line(sources: dict[str, SourceSpec], key: str, value: str,
         spec = replace(spec, params={**spec.params, name: value})
         read_param(spec, name)
     else:                                   # density or max_rate
-        spec = replace(spec, **{name: Fraction(value)})
+        spec = replace(spec, **{name: read_fraction(value)})
         SourceDescriptor(source_id, spec.density, spec.max_rate)
     sources[source_id] = spec
 

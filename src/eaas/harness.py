@@ -1,12 +1,15 @@
 """Deterministic fleet simulation and adversarial channel.
 
-A scenario drives provisioned client identities against an in-process
-server (no sockets) on a manually advanced clock, so freshness and
-throttling outcomes are exact and a (scenario, seed) pair always yields a
-byte-identical report. An adversary interposes on whole encoded messages;
-request-field tampering is white-box (the harness rebuilds the plaintext
-request and re-seals it under the server key, the strongest on-link
-attacker for an encrypted request).
+run_scenario(spec, seed) runs a ScenarioSpec, written in code or read by
+parse_scenario: a ``fleet`` of honest clients, the same schedule through
+the channel actions of an ``adversary`` spec, or a ``depletion`` flood
+beside honest clients. Client identities talk to an in-process server
+(no sockets) built by server.build_stack, on a manually advanced clock,
+so freshness and throttling outcomes are exact and a (scenario, seed)
+pair always yields a byte-identical report. An adversary interposes on
+whole encoded messages; request-field tampering is white-box (the
+harness rebuilds the plaintext request and re-seals it under the server
+key, the strongest on-link attacker for an encrypted request).
 
 Reports are line-oriented text followed by a machine-readable JSON
 summary block. Key material never appears in a report, which is what
@@ -28,8 +31,7 @@ from pathlib import Path
 
 from . import client as client_mod
 from . import crypto, wire
-from .config import (DEFAULT_PLATFORM_MEASUREMENT, ServerConfig,
-                     read_key_values, reading)
+from .config import ServerConfig, read_fraction, read_key_values, reading
 from .errors import (
     BadServerSignature,
     ConfigError,
@@ -39,11 +41,10 @@ from .errors import (
     UnwrapFailure,
     WrongQuantity,
 )
-from .pool import EntropyPool, SourceDescriptor
-from .server import EntropyService
-from .sources import SourceSpec, register_sources
+from .pool import SourceDescriptor
+from .server import build_stack
+from .sources import SourceSpec
 from .stats import MIN_INPUT_BYTES, stats_suite
-from .trusted import TrustedApplication
 
 __all__ = [
     "AdversaryAction",
@@ -51,9 +52,8 @@ __all__ = [
     "ScenarioReport",
     "ScenarioSpec",
     "SimClock",
-    "depletion_scenario",
-    "run_adversary",
-    "run_fleet",
+    "parse_scenario",
+    "run_scenario",
 ]
 
 SIM_EPOCH_MS = 1_750_000_000_000
@@ -69,6 +69,8 @@ class SimClock:
         return self._now
 
     def advance(self, ms: int) -> None:
+        if ms < 0:
+            raise ValueError("simulated time cannot move backwards")
         self._now += ms
 
     def set(self, ms: int) -> None:
@@ -98,7 +100,13 @@ class AdversaryAction:
 
     kind: AdversaryKind
     target: int
-    parameter: int | None = None   # delay ms
+    parameter: int | None = None   # delay ms; 1000 when None
+
+    def __post_init__(self):
+        if self.parameter is not None and (
+                self.kind is not AdversaryKind.DELAY or self.parameter < 0):
+            raise ValueError("only delay takes a parameter, and it must "
+                             "not be negative")
 
 
 @dataclass
@@ -206,39 +214,27 @@ def _server_config(spec: ScenarioSpec) -> ServerConfig:
 
 
 class _Simulation:
-    """In-process server plus provisioned identities on a shared clock."""
+    """In-process server plus provisioned identities on a shared clock.
+    A depletion run has one attacker identity before its honest ones."""
 
     def __init__(self, spec: ScenarioSpec, seed: int,
-                 keypairs: list[crypto.KeyPair] | None = None,
-                 n_identities: int | None = None):
+                 keypairs: list[crypto.KeyPair] | None = None):
         self.spec = spec
         self.seed = seed
         self.rng = random.Random(seed)
         self.clock = SimClock()
-
-        sources = [
-            SourceSpec(source_id=f"sensor{i}", kind="simulated-sensor",
-                       density=spec.source_density,
-                       max_rate=spec.source_max_rate,
-                       params={"seed": str(seed * 1009 + i)})
-            for i in range(spec.n_sources)
-        ]
         config = _server_config(spec)
-        self.pool = EntropyPool(self.clock.now)
-        register_sources(self.pool, sources)
-        self.server_keypair = crypto.generate_keypair()
-        ta = TrustedApplication(
-            self.server_keypair, self.pool,
-            sm_measurement=DEFAULT_PLATFORM_MEASUREMENT,
-            clock=self.clock.now,
-            rng=self.rng.randbytes,
-            max_delta_s=spec.max_delta_s,
-            harvest_deadline_ms=spec.harvest_deadline_ms)
-        self.service = EntropyService(config, ta, self.clock.now)
+        config.sources = [
+            SourceSpec(f"sensor{i}", "simulated-sensor", spec.source_density,
+                       spec.source_max_rate, {"seed": str(seed * 1009 + i)})
+            for i in range(spec.n_sources)]
+        self.pool, _, self.service = build_stack(
+            config, self.clock.now, rng=self.rng.randbytes)
         self.server_public = crypto.load_public_key(
             self.service.pubkey_der())
 
-        n = spec.n_clients if n_identities is None else n_identities
+        n = (spec.honest_clients + 1 if spec.kind == "depletion"
+             else spec.n_clients)
         if keypairs is None:
             keypairs = [crypto.generate_keypair() for _ in range(n)]
         self.identities = [
@@ -248,6 +244,8 @@ class _Simulation:
             for kp in keypairs[:n]
         ]
         self.credit_floor: int | None = None
+        # Only a fleet run reports statistics on what it delivered.
+        self.collect = spec.kind == "fleet" and spec.collect_entropy
         self.delivered = bytearray()
         # Channel adversary: actions by target request index, and the
         # replies kept for a replay into the request after their own.
@@ -312,7 +310,8 @@ class _Simulation:
                 reply = _tamper_envelope_field(reply, kind, self.rng)
         for action in todays:
             if action.kind is AdversaryKind.DELAY:
-                self.clock.advance(action.parameter or 1000)
+                self.clock.advance(1000 if action.parameter is None
+                                   else action.parameter)
         return self.verify(identity, reply, t1)
 
     def verify(self, identity: client_mod.ClientIdentity, reply: bytes,
@@ -325,18 +324,17 @@ class _Simulation:
                 now=self.clock.now())
         except tuple(_CLIENT_ERRORS) as exc:
             return _CLIENT_ERRORS[type(exc)]
-        if self.spec.collect_entropy:
+        if self.collect:
             self.delivered += entropy
         return "success"
 
-    def report(self, kind: str, outcomes: list[RequestOutcome],
-               with_stats: bool = False) -> ScenarioReport:
+    def report(self, outcomes: list[RequestOutcome]) -> ScenarioReport:
         stats = None
-        if with_stats and len(self.delivered) >= MIN_INPUT_BYTES:
+        if self.collect and len(self.delivered) >= MIN_INPUT_BYTES:
             stats = {name: {"statistic": r.statistic, "passed": r.passed}
                      for name, r in stats_suite(bytes(self.delivered)).items()}
         return ScenarioReport(
-            kind=kind,
+            kind=self.spec.kind,
             seed=self.seed,
             outcomes=outcomes,
             counters=dict(self.service.counters),
@@ -348,24 +346,11 @@ class _Simulation:
             stats=stats)
 
 
-def run_fleet(n_clients: int, requests_per_client: int, delta_s: int,
-              seed: int, *,
-              spec: ScenarioSpec | None = None,
-              keypairs: list[crypto.KeyPair] | None = None,
-              ) -> ScenarioReport:
-    """Honest fleet: every client issues its requests in round-robin
-    order; failures are data, not exceptions."""
-    spec = replace(spec or ScenarioSpec(), kind="fleet",
-                   n_clients=n_clients,
-                   requests_per_client=requests_per_client,
-                   delta_s=delta_s, actions=[])
-    return _run_schedule(spec, seed, keypairs)
-
-
 def _run_schedule(spec: ScenarioSpec, seed: int,
                   keypairs: list[crypto.KeyPair] | None) -> ScenarioReport:
-    """The fleet schedule, through the channel adversary of spec.actions
-    (none for an honest fleet)."""
+    """The fleet schedule: every client issues its requests in
+    round-robin order, through the channel adversary of spec.actions
+    (none for an honest fleet); failures are data, not exceptions."""
     sim = _Simulation(spec, seed, keypairs=keypairs)
     outcomes = []
     index = 0
@@ -375,7 +360,7 @@ def _run_schedule(spec: ScenarioSpec, seed: int,
             outcomes.append(RequestOutcome(ci, index, outcome))
             index += 1
             sim.clock.advance(spec.step_ms)
-    return sim.report(spec.kind, outcomes, with_stats=spec.collect_entropy)
+    return sim.report(outcomes)
 
 
 # --- adversary -------------------------------------------------------------
@@ -442,34 +427,14 @@ _RESPONSE_TAMPERS = (AdversaryKind.TAMPER_WRAPPED_KEY,
                      AdversaryKind.TAMPER_SIG2)
 
 
-def run_adversary(scenario: ScenarioSpec, actions: list[AdversaryAction],
-                  seed: int, *,
-                  keypairs: list[crypto.KeyPair] | None = None,
-                  ) -> ScenarioReport:
-    """Replay the fleet schedule with a channel adversary applying the
-    given actions; the report records which failure each action caused."""
-    # Adversary reports carry no statistics, so nothing is collected.
-    spec = replace(scenario, kind="adversary", actions=list(actions),
-                   collect_entropy=False)
-    return _run_schedule(spec, seed, keypairs)
-
-
 # --- depletion --------------------------------------------------------------
 
 
-def depletion_scenario(flood_rate: int, duration_s: int,
-                       honest_clients: int, seed: int = 0, *,
-                       spec: ScenarioSpec | None = None,
-                       keypairs: list[crypto.KeyPair] | None = None,
-                       ) -> ScenarioReport:
+def _run_depletion(spec: ScenarioSpec, seed: int,
+                   keypairs: list[crypto.KeyPair] | None) -> ScenarioReport:
     """One attacker fingerprint floods valid requests while honest
     clients make one request each, spread across the run."""
-    spec = replace(spec or ScenarioSpec(source_max_rate=Fraction(256)),
-                   kind="depletion", flood_rate=flood_rate,
-                   duration_s=duration_s, honest_clients=honest_clients,
-                   actions=[])
-    sim = _Simulation(spec, seed, keypairs=keypairs,
-                      n_identities=honest_clients + 1)
+    sim = _Simulation(spec, seed, keypairs=keypairs)
     attacker, honest = sim.identities[0], sim.identities[1:]
 
     # The attacker replays one prebuilt valid request; nothing in the
@@ -478,13 +443,13 @@ def depletion_scenario(flood_rate: int, duration_s: int,
         attacker, spec.delta_s, rng=sim.rng.randbytes,
         clock=sim.clock.now, max_delta_s=spec.max_delta_s)
 
-    duration_ms = duration_s * 1000
+    duration_ms = spec.duration_s * 1000
     events: list[tuple[int, int, str]] = []
-    n_attacks = flood_rate * duration_s
+    n_attacks = spec.flood_rate * spec.duration_s
     for k in range(n_attacks):
         events.append((k * duration_ms // n_attacks, 0, "attack"))
-    for j in range(honest_clients):
-        events.append(((j + 1) * duration_ms // (honest_clients + 1),
+    for j in range(spec.honest_clients):
+        events.append(((j + 1) * duration_ms // (spec.honest_clients + 1),
                        j, "honest"))
     events.sort(key=lambda e: (e[0], e[2] == "honest", e[1]))
 
@@ -502,7 +467,7 @@ def depletion_scenario(flood_rate: int, duration_s: int,
         else:
             outcome = sim.round_trip(honest[who], index)
             outcomes.append(RequestOutcome(who, index, outcome))
-    report = sim.report("depletion", outcomes)
+    report = sim.report(outcomes)
     report.counters["attacker_granted"] = report.outcome_counts().get(
         "attacker-granted", 0)
     return report
@@ -542,7 +507,7 @@ def parse_scenario(text: str) -> ScenarioSpec:
                     delta_s_line = lineno
             elif key in ("throttle_capacity", "throttle_refill_rate",
                          "source_density", "source_max_rate"):
-                setattr(spec, key, Fraction(value))
+                setattr(spec, key, read_fraction(value))
             elif key in ("throttle_enabled", "collect_entropy"):
                 if value.lower() not in ("1", "true", "yes", "0", "false",
                                          "no"):
@@ -564,14 +529,15 @@ def parse_scenario(text: str) -> ScenarioSpec:
     return spec
 
 
-def run_scenario(spec: ScenarioSpec, seed: int) -> ScenarioReport:
-    if spec.kind == "fleet":
-        return run_fleet(spec.n_clients, spec.requests_per_client,
-                         spec.delta_s, seed, spec=spec)
-    if spec.kind == "adversary":
-        return run_adversary(spec, spec.actions, seed)
-    return depletion_scenario(spec.flood_rate, spec.duration_s,
-                              spec.honest_clients, seed, spec=spec)
+def run_scenario(spec: ScenarioSpec, seed: int, *,
+                 keypairs: list[crypto.KeyPair] | None = None,
+                 ) -> ScenarioReport:
+    """Run spec under seed: a depletion flood, or the fleet schedule
+    (through spec.actions for kind = adversary). keypairs, if given, are
+    the client identities' keys, in order."""
+    if spec.kind == "depletion":
+        return _run_depletion(spec, seed, keypairs)
+    return _run_schedule(spec, seed, keypairs)
 
 
 def main(argv: list[str] | None = None) -> int:

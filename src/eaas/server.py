@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
 import signal
 import sys
 import threading
@@ -181,27 +182,39 @@ def load_or_create_keypair(key_file: Path | None) -> crypto.KeyPair:
     return keypair
 
 
-def build_service(config: ServerConfig,
-                  clock: Clock | None = None) -> EntropyService:
-    """Assemble pool, trusted application, and service from config.
+def build_stack(config: ServerConfig, clock: Clock | None = None, *,
+                keypair: crypto.KeyPair | None = None,
+                rng: crypto.Rng = os.urandom,
+                ) -> tuple[EntropyPool, TrustedApplication, EntropyService]:
+    """Assemble pool, trusted application, and service from config: the
+    one place an in-process server is wired.
 
     An injected clock drives all three, as in simulation. Without one,
     the TA stamps t2 and quote times with wall time rounded up, and the
     work bounds (source allowance, harvest deadline, throttle) run on a
-    monotonic clock, which a wall-clock step does not move.
+    monotonic clock, which a wall-clock step does not move. A keypair
+    given here is used instead of config.key_file; rng is the TA's
+    nonce source.
     """
     if clock is None and config.clock_mode == "injected":
         raise KeyLoadFailure("clock = injected requires a programmatic clock")
-    keypair = load_or_create_keypair(config.key_file)
+    keypair = keypair or load_or_create_keypair(config.key_file)
     pool = EntropyPool(clock or monotonic_clock_ms)
     register_sources(pool, config.sources)
     ta = TrustedApplication(
         keypair, pool,
         sm_measurement=config.sm_measurement,
         clock=clock or system_clock_ceil_ms,
+        rng=rng,
         max_delta_s=config.max_delta_s,
         harvest_deadline_ms=config.harvest_deadline_ms)
-    return EntropyService(config, ta, clock or monotonic_clock_ms)
+    return pool, ta, EntropyService(config, ta, clock or monotonic_clock_ms)
+
+
+def build_service(config: ServerConfig,
+                  clock: Clock | None = None) -> EntropyService:
+    """The service of build_stack(config, clock)."""
+    return build_stack(config, clock)[2]
 
 
 class _Handler(BaseHTTPRequestHandler):

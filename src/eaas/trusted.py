@@ -82,21 +82,16 @@ class TrustedApplication:
 
     def __init__(self, identity: crypto.KeyPair, pool: EntropyPool, *,
                  sm_measurement: bytes,
-                 ta_measurement: bytes | None = None,
                  clock: Clock = system_clock_ceil_ms,
                  rng: crypto.Rng = os.urandom,
                  max_delta_s: int = wire.DEFAULT_MAX_DELTA_S,
                  harvest_deadline_ms: int = 2000):
         if len(sm_measurement) != wire.MEASUREMENT_LEN:
             raise ValueError("sm_measurement must be 32 bytes")
-        if ta_measurement is not None \
-                and len(ta_measurement) != wire.MEASUREMENT_LEN:
-            raise ValueError("ta_measurement must be 32 bytes")
         self._identity = identity
         self._pool = pool
         self._sm_measurement = sm_measurement
-        self._ta_measurement = (ta_measurement if ta_measurement is not None
-                                else module_measurement())
+        self._ta_measurement = module_measurement()
         self._clock = clock
         self._rng = rng
         self._max_delta_s = max_delta_s

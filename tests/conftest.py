@@ -9,11 +9,11 @@ from fractions import Fraction
 import pytest
 
 from eaas import crypto
-from eaas.config import DEFAULT_PLATFORM_MEASUREMENT, ServerConfig
+from eaas.config import ServerConfig
 from eaas.harness import SimClock
 from eaas.pool import EntropyPool, SourceDescriptor
-from eaas.server import EntropyService
-from eaas.trusted import TrustedApplication
+from eaas.server import build_stack
+from eaas.sources import SourceSpec
 
 
 @pytest.fixture(scope="session")
@@ -53,18 +53,17 @@ def make_stack(server_keypair, *, seed: int = 0, max_delta_s: int = 4096,
                n_sources: int = 2,
                density: Fraction = Fraction(1),
                max_rate: Fraction = Fraction(1 << 20)):
-    """An injected-clock (clock, pool, ta, service) stack on one keypair."""
+    """An injected-clock (clock, pool, ta, service) stack on one keypair,
+    built as a server is; its sources are make_pool's generators."""
     clock = SimClock()
-    pool = make_pool(clock, seed=seed, n_sources=n_sources, density=density,
-                     max_rate=max_rate)
-    rng = seeded_generator(seed + 7777)
-    ta = TrustedApplication(server_keypair, pool,
-                            sm_measurement=DEFAULT_PLATFORM_MEASUREMENT,
-                            clock=clock.now, rng=rng,
-                            max_delta_s=max_delta_s)
+    sources = [SourceSpec(f"src{i}", "simulated-sensor", density, max_rate,
+                          {"seed": str(seed * 101 + i)})
+               for i in range(n_sources)]
     config = ServerConfig(max_delta_s=max_delta_s, throttle_capacity=capacity,
-                          throttle_refill_rate=refill, clock_mode="injected")
-    service = EntropyService(config, ta, clock.now)
+                          throttle_refill_rate=refill, clock_mode="injected",
+                          sources=sources)
+    pool, ta, service = build_stack(config, clock.now, keypair=server_keypair,
+                                    rng=seeded_generator(seed + 7777))
     return clock, pool, ta, service
 
 

@@ -19,6 +19,7 @@ from eaas.harness import (
     AdversaryAction,
     AdversaryKind,
     ScenarioSpec,
+    SimClock,
     parse_scenario,
     run_scenario,
 )
@@ -31,39 +32,41 @@ def fleet_keypairs():
 
 class TestRunFleet:
     def test_generous_throttle_all_succeed(self, fleet_keypairs):
-        spec = ScenarioSpec(throttle_capacity=Fraction(1000))
-        report = harness.run_fleet(4, 3, 32, seed=5, spec=spec,
-                                   keypairs=fleet_keypairs)
+        spec = ScenarioSpec(n_clients=4, requests_per_client=3, delta_s=32,
+                            throttle_capacity=Fraction(1000))
+        report = run_scenario(spec, seed=5, keypairs=fleet_keypairs)
         assert report.outcome_counts() == {"success": 12}
         assert report.counters["allowed"] == 12
 
     def test_same_seed_identical_reports(self, fleet_keypairs):
-        spec = ScenarioSpec(throttle_capacity=Fraction(100))
+        spec = ScenarioSpec(n_clients=2, requests_per_client=2, delta_s=16,
+                            throttle_capacity=Fraction(100))
         texts = [
-            harness.run_fleet(2, 2, 16, seed=9, spec=spec,
-                              keypairs=fleet_keypairs[:2]).to_text()
+            run_scenario(spec, seed=9, keypairs=fleet_keypairs[:2]).to_text()
             for _ in range(2)
         ]
         assert texts[0] == texts[1]
 
     def test_burst_of_twenty_throttles_fifteen(self, fleet_keypairs):
         """One client, 20 requests in (near) zero simulated time, C=5."""
-        report = harness.run_fleet(1, 20, 32, seed=2,
-                                   keypairs=fleet_keypairs[:1])
+        report = run_scenario(
+            ScenarioSpec(n_clients=1, requests_per_client=20, delta_s=32),
+            seed=2, keypairs=fleet_keypairs[:1])
         counts = report.outcome_counts()
         assert counts["success"] == 5
         assert counts["throttled"] == 15
 
     def test_outcome_count_matches_schedule(self, fleet_keypairs):
-        report = harness.run_fleet(3, 4, 8, seed=1,
-                                   spec=ScenarioSpec(
-                                       throttle_capacity=Fraction(100)),
-                                   keypairs=fleet_keypairs[:3])
+        report = run_scenario(
+            ScenarioSpec(n_clients=3, requests_per_client=4, delta_s=8,
+                         throttle_capacity=Fraction(100)),
+            seed=1, keypairs=fleet_keypairs[:3])
         assert len(report.outcomes) == 12
 
     def test_report_contains_summary_block(self, fleet_keypairs):
-        report = harness.run_fleet(1, 1, 8, seed=3,
-                                   keypairs=fleet_keypairs[:1])
+        report = run_scenario(
+            ScenarioSpec(n_clients=1, requests_per_client=1, delta_s=8),
+            seed=3, keypairs=fleet_keypairs[:1])
         text = report.to_text()
         assert "--- summary ---" in text
         import json
@@ -89,12 +92,12 @@ ADVERSARY_EXPECTATIONS = [
 def matrix_report(fleet_keypairs):
     """One run applying every tamper kind to its own request."""
     n = len(ADVERSARY_EXPECTATIONS)
-    spec = ScenarioSpec(n_clients=1, requests_per_client=n + 1,
-                        throttle_capacity=Fraction(1000))
     actions = [AdversaryAction(kind, target=i)
                for i, (kind, _) in enumerate(ADVERSARY_EXPECTATIONS)]
-    return harness.run_adversary(spec, actions, seed=11,
-                                 keypairs=fleet_keypairs[:1])
+    spec = ScenarioSpec(kind="adversary", n_clients=1,
+                        requests_per_client=n + 1,
+                        throttle_capacity=Fraction(1000), actions=actions)
+    return run_scenario(spec, seed=11, keypairs=fleet_keypairs[:1])
 
 
 class TestRunAdversary:
@@ -106,29 +109,45 @@ class TestRunAdversary:
         assert matrix_report.outcomes[-1].outcome == "success"
 
     def test_replay_is_stale(self, fleet_keypairs):
-        spec = ScenarioSpec(n_clients=1, requests_per_client=3,
-                            throttle_capacity=Fraction(100))
-        report = harness.run_adversary(
-            spec, [AdversaryAction(AdversaryKind.REPLAY_RESPONSE, 0)],
-            seed=4, keypairs=fleet_keypairs[:1])
+        spec = ScenarioSpec(
+            kind="adversary", n_clients=1, requests_per_client=3,
+            throttle_capacity=Fraction(100),
+            actions=[AdversaryAction(AdversaryKind.REPLAY_RESPONSE, 0)])
+        report = run_scenario(spec, seed=4, keypairs=fleet_keypairs[:1])
         outcomes = [o.outcome for o in report.outcomes]
         assert outcomes == ["success", "stale", "success"]
 
     def test_delay_does_not_break_freshness(self, fleet_keypairs):
-        spec = ScenarioSpec(n_clients=1, requests_per_client=1,
-                            throttle_capacity=Fraction(100))
-        report = harness.run_adversary(
-            spec, [AdversaryAction(AdversaryKind.DELAY, 0, parameter=5000)],
-            seed=4, keypairs=fleet_keypairs[:1])
+        spec = ScenarioSpec(
+            kind="adversary", n_clients=1, requests_per_client=1,
+            throttle_capacity=Fraction(100),
+            actions=[AdversaryAction(AdversaryKind.DELAY, 0, parameter=5000)])
+        report = run_scenario(spec, seed=4, keypairs=fleet_keypairs[:1])
         assert report.outcomes[0].outcome == "success"
 
+    @pytest.mark.parametrize("action, outcomes", [
+        ("delay:0:0", ["success", "throttled"]),
+        ("delay:0:1000", ["success", "success"]),
+        ("delay:0", ["success", "success"]),
+    ])
+    def test_delay_parameter_is_the_wait(self, fleet_keypairs, action,
+                                         outcomes):
+        """With C = 1 and r = 1/s, request 1 is served only if request
+        0's delay moved the clock a second; delay:0:0 waits for nothing."""
+        spec = parse_scenario(
+            "kind = adversary\nrequests_per_client = 2\n"
+            f"throttle_capacity = 1\naction.0 = {action}\n")
+        report = run_scenario(spec, seed=4, keypairs=fleet_keypairs[:1])
+        assert [o.outcome for o in report.outcomes] == outcomes
+
     def test_deterministic(self, fleet_keypairs):
-        spec = ScenarioSpec(n_clients=1, requests_per_client=4,
-                            throttle_capacity=Fraction(100))
         actions = [AdversaryAction(AdversaryKind.TAMPER_CIPHERTEXT, 1),
                    AdversaryAction(AdversaryKind.DROP, 2)]
-        texts = [harness.run_adversary(spec, actions, seed=8,
-                                       keypairs=fleet_keypairs[:1]).to_text()
+        spec = ScenarioSpec(kind="adversary", n_clients=1,
+                            requests_per_client=4,
+                            throttle_capacity=Fraction(100), actions=actions)
+        texts = [run_scenario(spec, seed=8,
+                              keypairs=fleet_keypairs[:1]).to_text()
                  for _ in range(2)]
         assert texts[0] == texts[1]
 
@@ -151,14 +170,16 @@ class TestRunAdversary:
 
 class TestDepletion:
     def test_no_attacker_baseline(self, fleet_keypairs):
-        report = harness.depletion_scenario(
-            0, 2, honest_clients=3, seed=6, keypairs=fleet_keypairs)
+        spec = ScenarioSpec(kind="depletion", flood_rate=0, duration_s=2,
+                            honest_clients=3, source_max_rate=Fraction(256))
+        report = run_scenario(spec, seed=6, keypairs=fleet_keypairs)
         honest = [o for o in report.outcomes if o.client >= 0]
         assert all(o.outcome == "success" for o in honest)
 
     def test_throttled_flood_bounded_by_bucket(self, fleet_keypairs):
-        report = harness.depletion_scenario(
-            100, 3, honest_clients=2, seed=6, keypairs=fleet_keypairs[:3])
+        spec = ScenarioSpec(kind="depletion", flood_rate=100, duration_s=3,
+                            honest_clients=2, source_max_rate=Fraction(256))
+        report = run_scenario(spec, seed=6, keypairs=fleet_keypairs[:3])
         # C=5 plus 3 seconds of refill at r=1
         assert report.counters["attacker_granted"] <= 5 + 3
         honest = [o for o in report.outcomes if o.client >= 0]
@@ -169,12 +190,11 @@ class TestDepletion:
             == report.counters["allowed"] * 8 * (32 + 16)
 
     def test_unthrottled_flood_depletes_honest(self, fleet_keypairs):
-        spec = ScenarioSpec(source_max_rate=Fraction(256),
+        spec = ScenarioSpec(kind="depletion", flood_rate=200, duration_s=2,
+                            honest_clients=3, source_max_rate=Fraction(256),
                             source_density=Fraction(3, 4),
                             throttle_enabled=False)
-        report = harness.depletion_scenario(
-            200, 2, honest_clients=3, seed=6, spec=spec,
-            keypairs=fleet_keypairs)
+        report = run_scenario(spec, seed=6, keypairs=fleet_keypairs)
         honest = [o.outcome for o in report.outcomes if o.client >= 0]
         assert "entropy-depleted" in honest
         assert report.counters["attacker_granted"] > 15
@@ -218,6 +238,13 @@ class TestScenarioFiles:
             parse_scenario(f"kind = {kind}\n\naction.0 = drop:0\n")
         with pytest.raises(ConfigError, match="^line 1: "):
             parse_scenario(f"action.0 = drop:0\nkind = {kind}\n")
+
+    @pytest.mark.parametrize("value", [
+        "delay:0:-5000", "drop:0:5", "tamper-sig2:1:0"])
+    def test_bad_action_parameter_names_its_line(self, value):
+        """Only a delay takes a parameter, and time never runs back."""
+        with pytest.raises(ConfigError, match="^line 2: only delay "):
+            parse_scenario(f"kind = adversary\naction.0 = {value}\n")
 
     @pytest.mark.parametrize("line", [
         "source_density = 2",
@@ -285,6 +312,15 @@ class TestScenarioFiles:
         text = out.read_text()
         assert "result=success" in text
         assert "--- summary ---" in text
+
+
+def test_sim_clock_never_moves_backwards():
+    clock = SimClock(10)
+    with pytest.raises(ValueError, match="backwards"):
+        clock.advance(-1)
+    with pytest.raises(ValueError, match="backwards"):
+        clock.set(9)
+    assert clock.now() == 10
 
 
 REPO = Path(__file__).resolve().parents[1]

@@ -3,7 +3,7 @@ ConfigError, and whatever parses builds.
 
 Lines are drawn from the known keys with valid and garbage values, plus
 unknown keys and lines with no '='. An accepted server config must
-register its sources, throttle and build a TA; an accepted scenario
+build through server.build_stack and throttle; an accepted scenario
 must hold the values its run relies on. No socket is bound and no RSA
 key is generated per example."""
 
@@ -16,11 +16,9 @@ from hypothesis import strategies as st
 from eaas import harness
 from eaas.config import parse_config
 from eaas.errors import ConfigError
-from eaas.harness import AdversaryKind, parse_scenario
-from eaas.pool import EntropyPool, SourceDescriptor
-from eaas.server import ThrottleTable
-from eaas.sources import register_sources
-from eaas.trusted import TrustedApplication
+from eaas.harness import AdversaryKind, SimClock, parse_scenario
+from eaas.pool import SourceDescriptor
+from eaas.server import ThrottleTable, build_stack
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -28,7 +26,8 @@ SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
 GARBAGE = st.text(alphabet="0123456789abcx-+./:_ e", max_size=6)
 INTS = st.integers(-3, 70_000).map(str)
 FRACTIONS = st.sampled_from(["0", "1", "1/2", "0.75", "2", "-1", "1/0",
-                             "1e3", "65536"])
+                             "1e3", "65536", "1e1000000", "1e-1000000",
+                             "7" * 5000])
 
 
 def lines(keys: dict[str, st.SearchStrategy[str]]) -> st.SearchStrategy[str]:
@@ -108,14 +107,9 @@ def test_config_text_parses_and_builds_or_is_refused(server_keypair,
         cfg = parse_config(head + text, base_dir=base_dir)
     except ConfigError:
         return
-    pool = EntropyPool()
-    register_sources(pool, cfg.sources)
+    build_stack(cfg, SimClock().now, keypair=server_keypair)
     ThrottleTable(cfg.throttle_capacity,
                   cfg.throttle_refill_rate).check(b"\x00" * 8, 0)
-    TrustedApplication(server_keypair, pool,
-                       sm_measurement=cfg.sm_measurement,
-                       max_delta_s=cfg.max_delta_s,
-                       harvest_deadline_ms=cfg.harvest_deadline_ms)
 
 
 @SETTINGS
@@ -134,3 +128,17 @@ def test_scenario_text_parses_or_is_refused(text):
                spec.honest_clients, spec.flood_rate, spec.duration_s,
                spec.step_ms) >= 0
     assert not spec.actions or spec.kind == "adversary"
+
+
+@pytest.mark.parametrize("number", ["1e1000000", "1e-1000000", "7" * 5000],
+                         ids=["1e1000000", "1e-1000000", "5000-digits"])
+@pytest.mark.parametrize("parse, key", [
+    (parse_config, "throttle_capacity"),
+    (parse_config, "source.a.max_rate"),
+    (parse_scenario, "source_max_rate"),
+])
+def test_number_text_is_bounded(parse, key, number):
+    """A number is read exactly, so its text is bounded: Fraction would
+    expand 1e10000000 for seconds before any range check ran."""
+    with pytest.raises(ConfigError, match="^line 2: a number is at most"):
+        parse(f"# operator text\n{key} = {number}\n")

@@ -3,6 +3,7 @@ and HTTP integration on an ephemeral port."""
 
 from __future__ import annotations
 
+import ast
 import http.client
 import logging
 import os
@@ -744,7 +745,7 @@ class TestWorkClock:
             {"seed": "1"})])
         ta = TrustedApplication(server_keypair, pool,
                                 sm_measurement=DEFAULT_PLATFORM_MEASUREMENT,
-                                clock=wall.now)
+                                clock=lambda: wall.now())
         service = EntropyService(
             ServerConfig(throttle_capacity=Fraction(2),
                          throttle_refill_rate=Fraction(1)), ta, work.now)
@@ -757,7 +758,7 @@ class TestWorkClock:
         with pytest.raises(EntropyDepleted):     # a 128-byte burst
             pool.harvest(2048, deadline_ms=1000)
         assert pool.credited_bits == 1024
-        wall.advance(-3_600_000)
+        wall = SimClock(wall.now() - 3_600_000)   # a 1 h wall step back
         work.advance(1000)
         assert statuses(2) == [400, 429]
         pool.harvest(2048, deadline_ms=1000)
@@ -818,3 +819,26 @@ def test_server_import_leaves_numpy_unloaded():
          "import sys, eaas.server; print('numpy' in sys.modules)"],
         env=env, capture_output=True, text=True, timeout=60, check=True)
     assert result.stdout.strip() == "False"
+
+
+def test_build_stack_is_the_one_build_path():
+    """In the package, only server.build_stack makes a TA or a service,
+    and only it and pool.py make a pool."""
+    def calls(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                yield from calls(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                yield where, getattr(func, "id", getattr(func, "attr", None))
+            yield from calls(child, where)
+
+    built = set()
+    for path in Path(server_module.__file__).parent.glob("*.py"):
+        for where, name in calls(ast.parse(path.read_text()), None):
+            if name in ("TrustedApplication", "EntropyService", "EntropyPool"):
+                built.add((name, path.stem, where))
+    assert {b for b in built if b[1] != "pool"} == {
+        (name, "server", "build_stack")
+        for name in ("TrustedApplication", "EntropyService", "EntropyPool")}

@@ -7,8 +7,10 @@ import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_pool, seeded_generator
+from conftest import make_pool, make_stack, seeded_generator
 from eaas import client as client_mod
 from eaas import crypto, wire
 from eaas.config import DEFAULT_PLATFORM_MEASUREMENT
@@ -253,3 +255,39 @@ class TestTcbBoundary:
         for out in outputs:
             assert secret_der not in out
             assert buffer_snapshot not in out
+
+
+@pytest.fixture(scope="module")
+def stack_ta(server_keypair, client_keypair):
+    """A make_stack TA and one honest HANDLE_REQUEST command for it."""
+    ta = make_stack(server_keypair, capacity=Fraction(10 ** 6))[2]
+    body = build_body(client_keypair, server_keypair.public)
+    return ta, encode_command(TaCommand.HANDLE_REQUEST, body)
+
+
+HOSTILE = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+class TestHostileCommands:
+    """Whatever the bytes, ta_invoke answers with a status byte."""
+
+    @HOSTILE
+    @given(command=st.binary(max_size=1200))
+    def test_arbitrary_bytes(self, stack_ta, command):
+        reply = stack_ta[0].ta_invoke(command)
+        assert reply and reply[0] in list(TaStatus)
+
+    @HOSTILE
+    @given(data=st.data())
+    def test_flipped_or_truncated_request(self, stack_ta, data):
+        ta, honest = stack_ta
+        pos = data.draw(st.integers(0, len(honest) - 1))
+        if data.draw(st.booleans()):
+            flip = data.draw(st.integers(1, 255))
+            command = honest[:pos] + bytes([honest[pos] ^ flip]) \
+                + honest[pos + 1:]
+        else:
+            command = honest[:pos]
+        reply = ta.ta_invoke(command)
+        assert reply and reply[0] in list(TaStatus)
+        assert reply[0] != TaStatus.OK
