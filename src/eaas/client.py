@@ -14,9 +14,9 @@ import logging
 import math
 import os
 import sys
+import threading
 import time
-import urllib.error
-import urllib.request
+import urllib.parse
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -233,20 +233,91 @@ def verify_response(envelope_bytes: bytes, *, t1: int, delta_s: int,
     return response.entropy
 
 
+# The one idle kept-alive connection: (host, port) and the connection to
+# the server address last used, or None. A caller takes it out of the
+# slot, so a concurrent caller opens a connection of its own.
+_idle: tuple[tuple[str, int], http.client.HTTPConnection] | None = None
+_idle_lock = threading.Lock()
+
+
+def _take_idle(address: tuple[str, int]) -> http.client.HTTPConnection | None:
+    """The idle connection if it goes to address; one to another server
+    is closed."""
+    global _idle
+    with _idle_lock:
+        old, _idle = _idle, None
+    if old is not None and old[0] == address:
+        return old[1]
+    if old is not None:
+        old[1].close()
+    return None
+
+
+def _put_idle(address: tuple[str, int],
+              conn: http.client.HTTPConnection) -> None:
+    """Keep conn as the idle connection, closing the one it replaces."""
+    global _idle
+    with _idle_lock:
+        old, _idle = _idle, (address, conn)
+    if old is not None:
+        old[1].close()
+
+
+def _exchange(method: str, url: str, body: bytes | None,
+              timeout: float) -> tuple[int, bytes, dict]:
+    """(status, reply, headers) of one HTTP/1.1 exchange, for any status.
+
+    It goes out on the idle connection if that one leads to url's
+    server, else on a new one, and the connection is kept idle after a
+    reply read in full that does not close it. A kept connection that
+    the server closed while idle fails before any status line arrives;
+    then, and only then, the request goes once more on a new connection.
+    Any other failure, or a url that is not http://, raises
+    TransportError.
+    """
+    parts = urllib.parse.urlsplit(url)
+    try:
+        if parts.scheme != "http" or not parts.hostname:
+            raise ValueError("only http:// URLs are supported")
+        address = (parts.hostname, parts.port or 80)
+    except ValueError as exc:
+        raise TransportError(f"{method} {url}: {exc}") from exc
+    target = parts.path or "/"
+    if parts.query:
+        target += "?" + parts.query
+    headers = {} if body is None else {"Content-Type":
+                                       "application/octet-stream"}
+    conn = _take_idle(address)
+    while True:
+        reused = conn is not None
+        if conn is None:
+            conn = http.client.HTTPConnection(*address, timeout=timeout)
+        else:
+            conn.sock.settimeout(timeout)
+        resp = None
+        try:
+            conn.request(method, target, body=body, headers=headers)
+            resp = conn.getresponse()
+            reply = resp.read()
+            break
+        except (http.client.HTTPException, OSError) as exc:
+            conn.close()
+            # RemoteDisconnected is a ConnectionResetError.
+            if not (reused and resp is None and isinstance(
+                    exc, (BrokenPipeError, ConnectionResetError))):
+                raise TransportError(f"{method} {url}: {exc!r}") from exc
+            conn = None
+    if resp.will_close:
+        conn.close()
+    else:
+        _put_idle(address, conn)
+    return resp.status, reply, dict(resp.headers)
+
+
 def _post(url: str, body: bytes, timeout: float) -> tuple[int, bytes, dict]:
     """(status, reply, headers) for any HTTP status. A peer that cannot be
     reached, times out or breaks HTTP raises TransportError."""
-    req = urllib.request.Request(
-        url, data=body, method="POST",
-        headers={"Content-Type": "application/octet-stream"})
-    try:
-        try:
-            with urllib.request.urlopen(req, timeout=timeout) as resp:
-                return resp.status, resp.read(), dict(resp.headers)
-        except urllib.error.HTTPError as exc:
-            return exc.code, exc.read(), dict(exc.headers)
-    except (http.client.HTTPException, OSError) as exc:
-        raise TransportError(f"POST {url}: {exc!r}") from exc
+    return _exchange("POST", url, body, timeout)
 
 
 def request_entropy(identity: ClientIdentity, server_url: str,
@@ -307,11 +378,10 @@ def request_entropy(identity: ClientIdentity, server_url: str,
 def fetch_server_pubkey(server_url: str,
                         timeout: float = DEFAULT_TIMEOUT_S) -> bytes:
     url = server_url.rstrip("/") + "/v1/pubkey"
-    try:
-        with urllib.request.urlopen(url, timeout=timeout) as resp:
-            return resp.read()
-    except (http.client.HTTPException, OSError) as exc:
-        raise TransportError(f"cannot fetch server key: {exc}") from exc
+    status, reply, _ = _exchange("GET", url, None, timeout)
+    if status != 200:
+        raise TransportError(f"server key fetch returned {status}")
+    return reply
 
 
 def verify_quote(quote: wire.AttestationQuote | bytes, *, nonce: bytes,

@@ -52,6 +52,7 @@ __all__ = [
     "ScenarioReport",
     "ScenarioSpec",
     "SimClock",
+    "check_scenario",
     "parse_scenario",
     "run_scenario",
 ]
@@ -199,6 +200,65 @@ _CLIENT_ERRORS = {
     Stale: "stale",
     MalformedMessage: "malformed-response",
 }
+
+
+_KINDS = ("fleet", "adversary", "depletion")
+_COUNTS = ("n_clients", "requests_per_client", "delta_s", "max_delta_s",
+           "step_ms", "n_sources", "harvest_deadline_ms", "flood_rate",
+           "duration_s", "honest_clients")
+# The most client identities a run makes (one RSA-3072 keygen each), the
+# most sources it registers, and the most requests it schedules up front
+# for each of its request products.
+_MAX_IDENTITIES = 256
+_MAX_SOURCES = 1024
+_MAX_REQUESTS = 100_000
+
+
+class _PairError(ConfigError):
+    """A rule broken between two values, which a scenario file may set in
+    either order."""
+
+    def __init__(self, message: str, *names: str):
+        super().__init__(message)
+        self.names = names
+
+
+def check_scenario(spec: ScenarioSpec) -> None:
+    """Refuse a spec run_scenario cannot run, as a ConfigError, before
+    anything is built. run_scenario calls it on every spec, and
+    parse_scenario on the spec a file describes."""
+    _check_values(spec)
+    if not 1 <= spec.delta_s <= spec.max_delta_s:
+        raise _PairError(f"delta_s {spec.delta_s} outside "
+                         f"[1, {spec.max_delta_s}]", "delta_s", "max_delta_s")
+    for a, b in (("n_clients", "requests_per_client"),
+                 ("flood_rate", "duration_s")):
+        if getattr(spec, a) * getattr(spec, b) > _MAX_REQUESTS:
+            raise _PairError(f"{a} * {b} above {_MAX_REQUESTS}", a, b)
+
+
+def _check_values(spec: ScenarioSpec) -> None:
+    """check_scenario but for its rules between two values, which
+    parse_scenario checks once the whole file is read; it runs this
+    after each line."""
+    if spec.kind not in _KINDS:
+        raise ConfigError(f"unknown scenario kind {spec.kind!r}")
+    if spec.actions and spec.kind != "adversary":
+        raise ConfigError("action.* only applies to kind = adversary")
+    for name in _COUNTS:
+        if getattr(spec, name) < 0:
+            raise ConfigError(f"{name} must not be negative")
+    for name, most in (("n_clients", _MAX_IDENTITIES),
+                       ("honest_clients", _MAX_IDENTITIES),
+                       ("n_sources", _MAX_SOURCES)):
+        if getattr(spec, name) > most:
+            raise ConfigError(f"{name} above {most}")
+    try:        # every source is built from these two
+        SourceDescriptor("scenario", spec.source_density,
+                         spec.source_max_rate)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    _server_config(spec)
 
 
 def _server_config(spec: ScenarioSpec) -> ServerConfig:
@@ -478,33 +538,28 @@ def _run_depletion(spec: ScenarioSpec, seed: int,
 
 def parse_scenario(text: str) -> ScenarioSpec:
     """Flat key = value scenario description; see sample files. Lines are
-    read and named in errors as in parse_config."""
+    read and named in errors as in parse_config: each line is checked
+    with what was read before it, and a rule between two values (delta_s
+    within max_delta_s, a bound on a product) at the end, naming the
+    later of their lines."""
     spec = ScenarioSpec()
-    actions: list[tuple[int, int, AdversaryAction]] = []
-    delta_s_line = 0     # the later of the delta_s and max_delta_s lines
+    orders: list[tuple[int, int]] = []   # (N of action.N, line) per action
+    set_at: dict[str, int] = {}          # key -> the last line setting it
     for lineno, key, value in read_key_values(text):
         with reading(f"line {lineno}"):
             if key.startswith("action."):
                 order = int(key.split(".", 1)[1])
                 kind_name, _, rest = value.partition(":")
                 target_str, _, param = rest.partition(":")
-                actions.append((order, lineno, AdversaryAction(
+                spec.actions.append(AdversaryAction(
                     kind=AdversaryKind(kind_name),
                     target=int(target_str),
-                    parameter=int(param) if param else None)))
+                    parameter=int(param) if param else None))
+                orders.append((order, lineno))
             elif key == "kind":
-                if value not in ("fleet", "adversary", "depletion"):
-                    raise ConfigError(f"unknown scenario kind {value!r}")
                 spec.kind = value
-            elif key in ("n_clients", "requests_per_client", "delta_s",
-                         "max_delta_s", "step_ms", "n_sources",
-                         "harvest_deadline_ms", "flood_rate", "duration_s",
-                         "honest_clients"):
+            elif key in _COUNTS:
                 setattr(spec, key, int(value))
-                if getattr(spec, key) < 0:
-                    raise ConfigError(f"{key} must not be negative")
-                if key in ("delta_s", "max_delta_s"):
-                    delta_s_line = lineno
             elif key in ("throttle_capacity", "throttle_refill_rate",
                          "source_density", "source_max_rate"):
                 setattr(spec, key, read_fraction(value))
@@ -515,17 +570,14 @@ def parse_scenario(text: str) -> ScenarioSpec:
                 setattr(spec, key, value.lower() in ("1", "true", "yes"))
             else:
                 raise ConfigError(f"unknown key {key!r}")
-            # run_scenario builds every source from these two.
-            SourceDescriptor("scenario", spec.source_density,
-                             spec.source_max_rate)
-            _server_config(spec)
-    if not 1 <= spec.delta_s <= spec.max_delta_s:
-        raise ConfigError(f"line {delta_s_line}: delta_s {spec.delta_s} "
-                          f"outside [1, {spec.max_delta_s}]")
-    if actions and spec.kind != "adversary":
-        raise ConfigError(f"line {actions[0][1]}: action.* only applies "
-                          "to kind = adversary")
-    spec.actions = [a for _, _, a in sorted(actions)]
+            _check_values(spec)
+        set_at[key] = lineno
+    spec.actions = [a for _, a in sorted(zip(orders, spec.actions))]
+    try:
+        check_scenario(spec)
+    except _PairError as exc:
+        line = max(set_at.get(name, 0) for name in exc.names)
+        raise ConfigError(f"line {line}: {exc}") from exc
     return spec
 
 
@@ -534,7 +586,9 @@ def run_scenario(spec: ScenarioSpec, seed: int, *,
                  ) -> ScenarioReport:
     """Run spec under seed: a depletion flood, or the fleet schedule
     (through spec.actions for kind = adversary). keypairs, if given, are
-    the client identities' keys, in order."""
+    the client identities' keys, in order. A spec check_scenario refuses
+    raises its ConfigError before anything is built."""
+    check_scenario(spec)
     if spec.kind == "depletion":
         return _run_depletion(spec, seed, keypairs)
     return _run_schedule(spec, seed, keypairs)

@@ -19,6 +19,7 @@ import argparse
 import logging
 import os
 import signal
+import socket
 import sys
 import threading
 from fractions import Fraction
@@ -285,7 +286,39 @@ class _Handler(BaseHTTPRequestHandler):
         self._reply(status, reply, headers)
 
     def log_message(self, fmt, *args):
-        log.debug("http %s", fmt % args)
+        log.debug("http " + fmt, *args)
+
+
+class _HttpServer(ThreadingHTTPServer):
+    """A ThreadingHTTPServer whose close ends its kept-alive connections:
+    server_close joins every handler thread, and an idle connection's
+    handler would otherwise wait out its timeout. Shutting the read side
+    ends the wait for a next request, while a reply being served still
+    goes out."""
+
+    def __init__(self, *args):
+        self._connections: set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
+        super().__init__(*args)
+
+    def process_request(self, request, client_address):
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self):
+        with self._connections_lock:
+            for conn in self._connections:
+                try:
+                    conn.shutdown(socket.SHUT_RD)
+                except OSError:
+                    pass
+        super().server_close()
 
 
 class TesServer:
@@ -295,7 +328,7 @@ class TesServer:
                  service: EntropyService | None = None):
         self.service = service or build_service(config)
         try:
-            self._httpd = ThreadingHTTPServer(
+            self._httpd = _HttpServer(
                 (config.listen_host, config.listen_port), _Handler)
         except OSError as exc:
             raise BindFailure(

@@ -9,10 +9,10 @@ import socket
 import stat
 import sys
 import threading
-import urllib.error
 from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -576,7 +576,126 @@ class TestTransportErrors:
                 "http://127.0.0.1:9", expected_sm=bytes(32),
                 expected_ta=bytes(32),
                 attestation_pk=server_keypair.public, timeout=0.2)
-        assert isinstance(exc.value.__cause__, urllib.error.URLError)
+        assert isinstance(exc.value.__cause__, ConnectionRefusedError)
+
+
+def _served_connections(monkeypatch) -> list:
+    """Record every connection a TesServer handler accepts from here on."""
+    from eaas.server import _Handler
+    accepted, setup = [], _Handler.setup
+
+    def counting_setup(handler):
+        accepted.append(handler.client_address)
+        setup(handler)
+
+    monkeypatch.setattr(_Handler, "setup", counting_setup)
+    return accepted
+
+
+class TestKeptAliveConnection:
+    """The SDK keeps one idle HTTP/1.1 connection, to the server it last
+    used, and sends once more on a new one only when the server closed
+    it while idle."""
+
+    @pytest.fixture
+    def server(self, tmp_path):
+        cfg = ServerConfig(
+            listen_host="127.0.0.1", listen_port=0,
+            key_file=tmp_path / "key.der",
+            throttle_capacity=Fraction(100),
+            sources=[SourceSpec("o", "os-random", Fraction(1),
+                                Fraction(1 << 20))])
+        server = TesServer(cfg)
+        server.start()
+        yield server
+        server.shutdown()
+
+    def test_calls_share_one_connection(self, server, tmp_path,
+                                        monkeypatch):
+        accepted = _served_connections(monkeypatch)
+        identity = client_mod.provision(
+            tmp_path / "store", client_mod.fetch_server_pubkey(server.url))
+        for _ in range(3):
+            assert len(client_mod.request_entropy(identity, server.url,
+                                                  16)) == 16
+        assert len(accepted) == 1
+
+    def test_idle_close_is_retried_once_on_a_new_connection(
+            self, server, tmp_path, monkeypatch):
+        """The server closes the idle connection after its timeout; the
+        next call, allowed one attempt, still succeeds, and the server
+        serves it once."""
+        from http.server import ThreadingHTTPServer
+
+        from eaas.server import _Handler
+        closed, shutdown_request = (threading.Event(),
+                                    ThreadingHTTPServer.shutdown_request)
+
+        def closing(self, request):
+            shutdown_request(self, request)
+            closed.set()
+
+        monkeypatch.setattr(ThreadingHTTPServer, "shutdown_request", closing)
+        monkeypatch.setattr(_Handler, "timeout", 0.2)
+        accepted = _served_connections(monkeypatch)
+        identity = client_mod.provision(
+            tmp_path / "store", client_mod.fetch_server_pubkey(server.url))
+        assert client_mod._idle is not None
+        stale = client_mod._idle[1]
+        assert closed.wait(5)
+        allowed = server.service.counters["allowed"]
+        entropy = client_mod.request_entropy(identity, server.url, 16,
+                                             retries=1)
+        assert len(entropy) == 16
+        assert server.service.counters["allowed"] == allowed + 1
+        assert len(accepted) == 2
+        assert client_mod._idle[1] is not stale
+
+    def test_connection_close_reply_is_not_reused(self, monkeypatch):
+        class ClosingService:
+            def handle_entropy(self, body):
+                return 400, b"malformed", {"Connection": "close"}
+
+        accepted = _served_connections(monkeypatch)
+        server = TesServer(ServerConfig(listen_host="127.0.0.1",
+                                        listen_port=0),
+                           service=ClosingService())
+        server.start()
+        try:
+            replies = [client_mod._post(server.url + path, b"x", 5)[:2]
+                       for path in ("/nope", "/v1/entropy", "/nope")]
+        finally:
+            server.shutdown()
+        assert replies == [(404, b"not-found"), (400, b"malformed"),
+                           (404, b"not-found")]
+        assert len(accepted) == 2       # the 404 kept it; the 400 closed it
+
+    @pytest.mark.parametrize("url", ["https://127.0.0.1:9",
+                                     "file:///dev/null", "127.0.0.1:9"])
+    def test_only_http_urls(self, url):
+        with pytest.raises(TransportError, match="only http://"):
+            client_mod._post(url + "/v1/attest", b"", 1)
+
+
+def test_one_http_path():
+    """eaas.client reaches HTTP through http.client alone, and makes a
+    connection in one function."""
+    import ast
+    tree = ast.parse(Path(client_mod.__file__).read_text())
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module}
+    assert not any(name.startswith("urllib.request") for name in imported)
+
+    def connections_made(node) -> int:
+        return sum(isinstance(n, ast.Call) and "HTTPConnection" in (
+            getattr(n.func, "attr", None), getattr(n.func, "id", None))
+            for n in ast.walk(node))
+
+    exchange, = [fn for fn in ast.walk(tree)
+                 if isinstance(fn, ast.FunctionDef) and fn.name == "_exchange"]
+    assert connections_made(tree) == connections_made(exchange) == 1
 
 
 class TestCli:

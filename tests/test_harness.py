@@ -211,6 +211,63 @@ action.1 = drop:2
 """
 
 
+class TestScenarioCheck:
+    """check_scenario refuses, before anything is built, a spec that
+    run_scenario cannot run, however the spec was made."""
+
+    @pytest.mark.parametrize("spec", [
+        ScenarioSpec(kind="chaos"),
+        ScenarioSpec(delta_s=0),
+        ScenarioSpec(delta_s=64, max_delta_s=32),
+        ScenarioSpec(step_ms=-1),
+        ScenarioSpec(n_clients=257),
+        ScenarioSpec(kind="depletion", honest_clients=257),
+        ScenarioSpec(n_sources=1025),
+        ScenarioSpec(n_clients=200, requests_per_client=1000),
+        ScenarioSpec(kind="depletion", flood_rate=10 ** 6, duration_s=10),
+        ScenarioSpec(actions=[AdversaryAction(AdversaryKind.DROP, 0)]),
+        ScenarioSpec(source_density=Fraction(2)),
+        ScenarioSpec(throttle_refill_rate=Fraction(0)),
+    ], ids=["kind", "delta_s-0", "delta_s-above-max", "step_ms",
+            "n_clients", "honest_clients", "n_sources", "fleet-requests",
+            "flood-requests", "action-outside-adversary", "density",
+            "refill"])
+    def test_run_refuses_before_building(self, monkeypatch, spec):
+        def build_stack(*args, **kwargs):
+            raise AssertionError("built a server for a refused spec")
+
+        monkeypatch.setattr(harness, "build_stack", build_stack)
+        with pytest.raises(ConfigError):
+            run_scenario(spec, seed=1)
+
+    @pytest.mark.parametrize("line, message", [
+        ("n_sources = 1000000000", "n_sources above 1024"),
+        ("n_clients = 257", "n_clients above 256"),
+        ("honest_clients = 257", "honest_clients above 256"),
+        ("requests_per_client = 100001",
+         "n_clients \\* requests_per_client above 100000"),
+        ("duration_s = 101", "flood_rate \\* duration_s above 100000"),
+    ])
+    def test_sizes_refused_at_their_line(self, line, message):
+        with pytest.raises(ConfigError, match=f"^line 2: {message}$"):
+            parse_scenario(f"kind = depletion\n{line}\n")
+
+    def test_products_are_checked_once_the_file_is_read(self):
+        """A product is bounded whichever of its two lines comes first,
+        and its error names the later line."""
+        text = "kind = depletion\nflood_rate = 20000\nduration_s = {}\n"
+        assert parse_scenario(text.format(5)).flood_rate == 20000
+        with pytest.raises(ConfigError, match="^line 3: flood_rate \\* "):
+            parse_scenario(text.format(6))
+
+    def test_largest_sizes_parse(self):
+        spec = parse_scenario("n_clients = 256\nhonest_clients = 256\n"
+                              "n_sources = 1024\nrequests_per_client = 390\n"
+                              "flood_rate = 10000\n")
+        assert (spec.n_clients * spec.requests_per_client,
+                spec.flood_rate * spec.duration_s) == (99_840, 100_000)
+
+
 class TestScenarioFiles:
     def test_parse(self):
         spec = parse_scenario(SCENARIO_TEXT)

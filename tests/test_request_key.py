@@ -11,6 +11,7 @@ import os
 import sys
 import threading
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -197,6 +198,58 @@ class TestTaMemo:
         assert ta_status(ta, bodies[0]) is TaStatus.OK
         assert self.ta_unwraps(ops, mark) == 1
         assert len(ta._request_keys) <= 4
+
+
+class TestTaVerifyMemo:
+    """The TA verifies sigma1 once per binding: a request plaintext equal
+    byte for byte to one that checked out under the same request key is
+    not decoded or verified again."""
+
+    @staticmethod
+    def count_sigma1_verifies(monkeypatch) -> list:
+        calls, real_verify = [], crypto.verify
+
+        def verify(public, domain_tag, msg, signature):
+            if domain_tag == crypto.REQUEST_TAG:
+                calls.append(msg)
+            return real_verify(public, domain_tag, msg, signature)
+
+        monkeypatch.setattr(crypto, "verify", verify)
+        return calls
+
+    def test_sigma1_verified_once_per_binding(self, monkeypatch,
+                                              server_keypair,
+                                              client_keypair):
+        stack = make_stack(server_keypair, capacity=Fraction(10 ** 6))
+        identity = make_identity(client_keypair, server_keypair)
+        verifies = self.count_sigma1_verifies(monkeypatch)
+        for _ in range(3):
+            round_trip(stack, identity, 32)
+        assert len(verifies) == 1
+        round_trip(stack, identity, 48)          # a new binding
+        assert len(verifies) == 2
+
+    def test_other_plaintext_under_a_memoised_key(self, monkeypatch,
+                                                  server_keypair,
+                                                  client_keypair):
+        """The device reseals its request with delta_s changed and the
+        old sigma1 under its memoised key: the TA takes the full path and
+        refuses it, and keeps the entry that checked out."""
+        stack = make_stack(server_keypair, capacity=Fraction(10 ** 6))
+        ta = stack[2]
+        identity = make_identity(client_keypair, server_keypair)
+        round_trip(stack, identity, 32)
+        _, _, request_key = identity._request_key
+        changed = request_key._replace(
+            request=replace(request_key.request, delta_s=48))
+        body = changed.seal(os.urandom, wire.DEFAULT_MAX_DELTA_S)
+        assert envelope(body).wrapped_key == request_key.wrapped_key
+
+        verifies = self.count_sigma1_verifies(monkeypatch)
+        assert ta_status(ta, body) is TaStatus.BAD_SIGNATURE
+        assert len(verifies) == 1
+        round_trip(stack, identity, 32)
+        assert len(verifies) == 1
 
 
 class TestClientMemo:

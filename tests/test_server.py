@@ -657,6 +657,26 @@ class TestHttp:
         assert counters == {"allowed": 2, "throttled": 5, "depleted": 0,
                             "rejected": 7}
 
+    def test_shutdown_ends_idle_kept_alive_connections(self, tmp_path,
+                                                       monkeypatch):
+        """shutdown joins every handler thread; one waiting on an idle
+        kept-alive connection is ended, not waited out to its timeout."""
+        monkeypatch.setattr(_Handler, "timeout", 30)
+        server = TesServer(ServerConfig(listen_host="127.0.0.1",
+                                        listen_port=0))
+        server.start()
+        conn = http.client.HTTPConnection(*server.address, timeout=5)
+        try:
+            conn.request("GET", "/nope")
+            assert conn.getresponse().read() == b"not-found"
+            stopper = threading.Thread(target=server.shutdown, daemon=True)
+            stopper.start()
+            stopper.join(timeout=5)
+            assert not stopper.is_alive()
+            assert conn.sock.recv(1) == b""     # the server closed it
+        finally:
+            conn.close()
+
     def test_unknown_route_404(self, http_server):
         status, _, _ = client_mod._post(http_server.url + "/v1/nope",
                                         b"", 5)
