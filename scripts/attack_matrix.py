@@ -17,7 +17,6 @@ ACTIONS = [
     AdversaryKind.TAMPER_DELTA_S,
     AdversaryKind.TAMPER_SIGMA1,
     AdversaryKind.TAMPER_HINT,
-    AdversaryKind.TAMPER_REQUEST_CIPHERTEXT,
     AdversaryKind.TAMPER_WRAPPED_KEY,
     AdversaryKind.TAMPER_NONCE,
     AdversaryKind.TAMPER_CIPHERTEXT,

@@ -1,6 +1,10 @@
 """Client SDK for constrained-device firmware: provisioning, request
 construction, the response verification chain, and quote checking.
 
+A request is sent in the clear and signed once per binding, so building
+one draws no randomness: the device needs entropy only for its key pair,
+or none with a pre-installed one.
+
 Verification order is fixed and security-relevant: server signature
 first, then decryption, then semantic checks, so nothing about payload
 contents is revealed to an unauthenticated peer.
@@ -19,7 +23,6 @@ import time
 import urllib.parse
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
 
 from cryptography.hazmat.primitives.asymmetric import rsa
 
@@ -48,34 +51,6 @@ DEFAULT_TIMEOUT_S = 10.0
 MAX_RETRY_AFTER_S = 60.0     # longer Retry-After values are cut to this
 
 
-class _RequestKey(NamedTuple):
-    """A request session key, its wrap under the server key, and the one
-    request it seals."""
-
-    request: wire.EntropyRequest
-    session_key: bytes
-    wrapped_key: bytes
-
-    @classmethod
-    def draw(cls, server_public: rsa.RSAPublicKey,
-             request: wire.EntropyRequest, rng: crypto.Rng) -> _RequestKey:
-        session_key = rng(crypto.SESSION_KEY_LEN)
-        return cls(request, session_key,
-                   crypto.wrap_key(server_public, session_key))
-
-    def seal(self, rng: crypto.Rng, max_delta_s: int) -> bytes:
-        """The POST body: fingerprint || the request sealed under this key
-        with the next rng draw as nonce."""
-        plaintext = wire.encode_request(self.request, max_delta_s)
-        nonce = rng(wire.NONCE_LEN)
-        envelope = wire.SealedEnvelope(
-            wrapped_key=self.wrapped_key, nonce=nonce,
-            ciphertext=crypto.seal_payload(self.session_key, nonce,
-                                           plaintext))
-        return (wire.fingerprint(self.request.client_pub_key)
-                + wire.encode_envelope(envelope))
-
-
 @dataclass
 class ClientIdentity:
     """A provisioned device: its keypair and the pinned server key."""
@@ -83,9 +58,8 @@ class ClientIdentity:
     keypair: crypto.KeyPair
     server_public: rsa.RSAPublicKey
     store_path: Path
-    # (keypair, server_public, request key) of the last binding sealed
-    _request_key: tuple[crypto.KeyPair, rsa.RSAPublicKey,
-                        _RequestKey] | None = field(
+    # (keypair, the request it signed) of the last binding built
+    _request: tuple[crypto.KeyPair, wire.EntropyRequest] | None = field(
         init=False, default=None, repr=False, compare=False)
 
     @property
@@ -138,66 +112,44 @@ def _load_key(loader, source: Path | str | bytes, name: str | None = None):
 
 
 def build_request(identity: ClientIdentity, delta_s: int, *,
-                  rng: crypto.Rng = os.urandom,
                   clock: Clock = system_clock_ms,
                   max_delta_s: int = wire.DEFAULT_MAX_DELTA_S,
                   ) -> tuple[bytes, int]:
-    """Build the POST body (hint || sealed request envelope).
+    """Build the POST body: hint || request, in the clear.
 
     Returns (body, t1). t1 stays client-local for the freshness check and
-    is never transmitted.
-
-    The request (pk, delta_s, sigma1) is a static binding, so it is sealed
-    under one request key per binding: the identity keeps the last key
-    drawn from rng, its wrap under the server key and the request it
-    seals, and hands them out again while its keypair and server_public
-    objects and delta_s match. Each call then draws only a nonce, so the
-    envelope is fresh while its wrapped_key repeats and the server
-    unwraps it once. The memo is one tuple, replaced whole, so a key only
-    ever seals one request and a repeated nonce only repeats a
-    ciphertext.
+    is never transmitted. The request is signed_request's, so the body
+    repeats for every request of one binding and draws no randomness.
     """
     if not 1 <= delta_s <= max_delta_s:
         raise FieldOutOfRange(f"delta_s {delta_s} outside [1, {max_delta_s}]")
     t1 = clock()
-    keypair, server_public = identity.keypair, identity.server_public
-    memo = identity._request_key
-    if (memo is None or memo[0] is not keypair or memo[1] is not server_public
-            or memo[2].request.delta_s != delta_s):
-        request = wire.EntropyRequest(
-            client_pub_key=keypair.public_der, delta_s=delta_s,
-            sigma1=request_signature(identity, delta_s))
-        memo = (keypair, server_public,
-                _RequestKey.draw(server_public, request, rng))
-        identity._request_key = memo
-    return memo[2].seal(rng, max_delta_s), t1
+    request = signed_request(identity, delta_s)
+    return (wire.fingerprint(request.client_pub_key)
+            + wire.encode_request(request, max_delta_s)), t1
 
 
-def request_signature(identity: ClientIdentity, delta_s: int) -> bytes:
-    """sigma1 over (identity's public key, delta_s): the one in the request
-    build_request keeps, while its keypair object and delta_s match, else
-    a fresh signature that is not kept. The signed bytes hold no nonce or
-    time; freshness comes from the sealed envelope and t1/t2."""
+def signed_request(identity: ClientIdentity,
+                   delta_s: int) -> wire.EntropyRequest:
+    """The request (identity's public key, delta_s, sigma1).
+
+    sigma1 is a static binding: its signed bytes hold no nonce or time,
+    and freshness comes from t1/t2. So the identity keeps the last
+    request signed and hands it out again while its keypair object and
+    delta_s match. The memo is one tuple, replaced whole, so threads
+    alternating delta_s each get their own.
+    """
     keypair = identity.keypair
-    memo = identity._request_key
-    if (memo is not None and memo[0] is keypair
-            and memo[2].request.delta_s == delta_s):
-        return memo[2].request.sigma1
-    return crypto.sign(keypair.secret, crypto.REQUEST_TAG,
-                       crypto.request_signing_bytes(keypair.public_der,
-                                                    delta_s))
-
-
-def seal_request(server_public: rsa.RSAPublicKey, pub_der: bytes,
-                 delta_s: int, sigma1: bytes, *, rng: crypto.Rng,
-                 max_delta_s: int) -> bytes:
-    """The POST body: fingerprint(pub_der) || the request sealed for the
-    server under a one-off key, drawn from rng before the nonce. Fields
-    are taken as given, even ones sigma1 does not cover."""
-    request = wire.EntropyRequest(client_pub_key=pub_der, delta_s=delta_s,
-                                  sigma1=sigma1)
-    return _RequestKey.draw(server_public, request, rng).seal(rng,
-                                                               max_delta_s)
+    memo = identity._request
+    if memo is None or memo[0] is not keypair or memo[1].delta_s != delta_s:
+        pub_der = keypair.public_der
+        memo = (keypair, wire.EntropyRequest(
+            client_pub_key=pub_der, delta_s=delta_s,
+            sigma1=crypto.sign(keypair.secret, crypto.REQUEST_TAG,
+                               crypto.request_signing_bytes(pub_der,
+                                                            delta_s))))
+        identity._request = memo
+    return memo[1]
 
 
 def verify_response(envelope_bytes: bytes, *, t1: int, delta_s: int,
@@ -322,7 +274,6 @@ def _post(url: str, body: bytes, timeout: float) -> tuple[int, bytes, dict]:
 
 def request_entropy(identity: ClientIdentity, server_url: str,
                     delta_s: int, *,
-                    rng: crypto.Rng = os.urandom,
                     clock: Clock = system_clock_ms,
                     max_delta_s: int = wire.DEFAULT_MAX_DELTA_S,
                     retries: int = DEFAULT_RETRIES,
@@ -339,7 +290,7 @@ def request_entropy(identity: ClientIdentity, server_url: str,
     for attempt in range(retries):
         if attempt:
             sleep(delay)    # only ever before another attempt
-        body, t1 = build_request(identity, delta_s, rng=rng, clock=clock,
+        body, t1 = build_request(identity, delta_s, clock=clock,
                                  max_delta_s=max_delta_s)
         try:
             status, reply, headers = _post(url, body, timeout)
@@ -406,14 +357,13 @@ def verify_quote(quote: wire.AttestationQuote | bytes, *, nonce: bytes,
 
 def request_attestation(server_url: str, *, expected_sm: bytes,
                         expected_ta: bytes,
-                        attestation_pk: rsa.RSAPublicKey | None = None,
+                        attestation_pk: rsa.RSAPublicKey,
                         rng: crypto.Rng = os.urandom,
                         timeout: float = DEFAULT_TIMEOUT_S,
                         ) -> wire.AttestationQuote:
-    """Challenge the server with a fresh nonce and verify its quote."""
-    if attestation_pk is None:
-        attestation_pk = crypto.load_public_key(
-            fetch_server_pubkey(server_url, timeout))
+    """Challenge the server with a fresh nonce and verify its quote under
+    attestation_pk, a key the caller already trusts (a device's pinned
+    server key), never one the attested server hands out."""
     nonce = rng(wire.QUOTE_NONCE_LEN)
     url = server_url.rstrip("/") + "/v1/attest"
     status, reply, _ = _post(url, nonce, timeout)
@@ -447,6 +397,9 @@ def main(argv: list[str] | None = None) -> int:
                          default=wire.DEFAULT_MAX_DELTA_S)
 
     p_att = sub.add_parser("attest", help="challenge the server")
+    p_att.add_argument("--store", required=True, type=Path,
+                       help="identity store whose pinned server key "
+                            "must sign the quote")
     p_att.add_argument("--url", required=True)
     p_att.add_argument("--expect-ta", required=True,
                        help="expected TA measurement, 64 hex chars")
@@ -476,7 +429,8 @@ def main(argv: list[str] | None = None) -> int:
     quote = request_attestation(
         args.url,
         expected_sm=bytes.fromhex(args.expect_sm),
-        expected_ta=bytes.fromhex(args.expect_ta))
+        expected_ta=bytes.fromhex(args.expect_ta),
+        attestation_pk=provision(args.store).server_public)
     print(f"quote accepted: time={quote.quote_time} "
           f"ta={quote.ta_measurement.hex()[:16]}…")
     return 0

@@ -203,26 +203,18 @@ def open_payload(session_key: bytes, nonce: bytes, ciphertext: bytes) -> bytes:
 # --- hybrid composition ----------------------------------------------------
 
 def seal_message(recipient: rsa.RSAPublicKey, plaintext: bytes,
-                 rng: Rng = os.urandom,
-                 signer: rsa.RSAPrivateKey | None = None, *,
-                 session_key: bytes | None = None) -> SealedEnvelope:
-    """Seal plaintext under a session key wrapped for recipient.
-
-    The session key is drawn from rng unless one is given: the TA passes
-    a key extracted from its entropy pool. The nonce is always the next
-    rng draw. With a signer, sigma2 covers wrapped_key || nonce ||
-    ciphertext under RESPONSE_TAG; without one the envelope is left
-    unsigned (request direction).
+                 rng: Rng = os.urandom, *, signer: rsa.RSAPrivateKey,
+                 session_key: bytes) -> SealedEnvelope:
+    """Seal plaintext under session_key wrapped for recipient, with the
+    next rng draw as nonce, and sign it: sigma2 covers wrapped_key ||
+    nonce || ciphertext under RESPONSE_TAG. The TA passes a session key
+    extracted from its entropy pool.
     """
-    if session_key is None:
-        session_key = rng(SESSION_KEY_LEN)
     nonce = rng(NONCE_LEN)
     ciphertext = seal_payload(session_key, nonce, plaintext)
     wrapped = wrap_key(recipient, session_key)
-    sigma2 = None
-    if signer is not None:
-        sigma2 = sign(signer, RESPONSE_TAG,
-                      envelope_signing_bytes(wrapped, nonce, ciphertext))
+    sigma2 = sign(signer, RESPONSE_TAG,
+                  envelope_signing_bytes(wrapped, nonce, ciphertext))
     return SealedEnvelope(wrapped_key=wrapped, nonce=nonce,
                           ciphertext=ciphertext, sigma2=sigma2)
 

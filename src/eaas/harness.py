@@ -7,9 +7,9 @@ beside honest clients. Client identities talk to an in-process server
 (no sockets) built by server.build_stack, on a manually advanced clock,
 so freshness and throttling outcomes are exact and a (scenario, seed)
 pair always yields a byte-identical report. An adversary interposes on
-whole encoded messages; request-field tampering is white-box (the
-harness rebuilds the plaintext request and re-seals it under the server
-key, the strongest on-link attacker for an encrypted request).
+whole encoded messages; request-field tampering rewrites one field of
+the cleartext request and re-encodes it, with the hint following the
+key it carries.
 
 Reports are line-oriented text followed by a machine-readable JSON
 summary block. Key material never appears in a report, which is what
@@ -88,7 +88,6 @@ class AdversaryKind(str, enum.Enum):
     TAMPER_DELTA_S = "tamper-delta-s"
     TAMPER_SIGMA1 = "tamper-sigma1"
     TAMPER_HINT = "tamper-hint"
-    TAMPER_REQUEST_CIPHERTEXT = "tamper-request-ciphertext"
     TAMPER_CIPHERTEXT = "tamper-ciphertext"        # response envelope
     TAMPER_WRAPPED_KEY = "tamper-wrapped-key"
     TAMPER_NONCE = "tamper-nonce"
@@ -328,8 +327,8 @@ class _Simulation:
         todays = self.actions.get(index, [])
         kinds = [a.kind for a in todays]
         body, t1 = client_mod.build_request(
-            identity, spec.delta_s, rng=self.rng.randbytes,
-            clock=self.clock.now, max_delta_s=spec.max_delta_s)
+            identity, spec.delta_s, clock=self.clock.now,
+            max_delta_s=spec.max_delta_s)
 
         request_tamper = next(
             (k for k in kinds if k in _REQUEST_TAMPERS), None)
@@ -340,11 +339,6 @@ class _Simulation:
         if AdversaryKind.TAMPER_HINT in kinds:
             body = _flip_byte(
                 body, self.rng.randrange(wire.FINGERPRINT_LEN), self.rng)
-        if AdversaryKind.TAMPER_REQUEST_CIPHERTEXT in kinds:
-            hint, env = (body[:wire.FINGERPRINT_LEN],
-                         body[wire.FINGERPRINT_LEN:])
-            body = hint + _tamper_envelope_field(
-                env, AdversaryKind.TAMPER_REQUEST_CIPHERTEXT, self.rng)
 
         self.clock.advance(1)
         if AdversaryKind.DROP in kinds:
@@ -435,12 +429,11 @@ def _flip_byte(data: bytes, pos: int, rng: random.Random) -> bytes:
 def _tampered_request_body(identity: client_mod.ClientIdentity,
                            delta_s: int, max_delta_s: int,
                            kind: AdversaryKind, rng: random.Random) -> bytes:
-    """White-box request tamper: mutate one signed field in the plaintext
-    request and re-seal it under the server key. The hint follows the
-    (possibly mutated) key, so the signature binding is what must fail.
-    sigma1 is the identity's memoized one; a mutation makes a new copy."""
-    pub_der = identity.keypair.public_der
-    sigma1 = client_mod.request_signature(identity, delta_s)
+    """Request tamper: mutate one signed field of the identity's request
+    and re-encode it. The hint follows the (possibly mutated) key, so the
+    signature binding is what must fail."""
+    request = client_mod.signed_request(identity, delta_s)
+    pub_der, sigma1 = request.client_pub_key, request.sigma1
     if kind is AdversaryKind.TAMPER_PK:
         # Flip deep inside the modulus so the key still parses.
         pos = rng.randrange(len(pub_der) - 120, len(pub_der) - 10)
@@ -451,9 +444,8 @@ def _tampered_request_body(identity: client_mod.ClientIdentity,
         sigma1 = _flip_byte(sigma1, rng.randrange(len(sigma1)), rng)
     else:
         raise ValueError(f"not a request tamper kind: {kind}")
-    return client_mod.seal_request(identity.server_public, pub_der, delta_s,
-                                   sigma1, rng=rng.randbytes,
-                                   max_delta_s=max_delta_s)
+    return wire.fingerprint(pub_der) + wire.encode_request(
+        wire.EntropyRequest(pub_der, delta_s, sigma1), max_delta_s)
 
 
 def _tamper_envelope_field(encoded: bytes, kind: AdversaryKind,
@@ -465,8 +457,7 @@ def _tamper_envelope_field(encoded: bytes, kind: AdversaryKind,
     elif kind is AdversaryKind.TAMPER_NONCE:
         env = replace(env, nonce=_flip_byte(
             env.nonce, rng.randrange(len(env.nonce)), rng))
-    elif kind in (AdversaryKind.TAMPER_CIPHERTEXT,
-                  AdversaryKind.TAMPER_REQUEST_CIPHERTEXT):
+    elif kind is AdversaryKind.TAMPER_CIPHERTEXT:
         env = replace(env, ciphertext=_flip_byte(
             env.ciphertext, rng.randrange(len(env.ciphertext)), rng))
     elif kind is AdversaryKind.TAMPER_SIG2:
@@ -500,8 +491,8 @@ def _run_depletion(spec: ScenarioSpec, seed: int,
     # The attacker replays one prebuilt valid request; nothing in the
     # protocol stops request replay, and it keeps the flood cheap.
     attack_body, _ = client_mod.build_request(
-        attacker, spec.delta_s, rng=sim.rng.randbytes,
-        clock=sim.clock.now, max_delta_s=spec.max_delta_s)
+        attacker, spec.delta_s, clock=sim.clock.now,
+        max_delta_s=spec.max_delta_s)
 
     duration_ms = spec.duration_s * 1000
     events: list[tuple[int, int, str]] = []

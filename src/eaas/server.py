@@ -1,12 +1,13 @@
 """Untrusted CA-side service: HTTP transport, throttling, and dispatch
 into the trusted core.
 
-The client application peeks only at the cleartext 32-byte fingerprint
-hint at the front of the request body; everything else is opaque bytes
-handed to the TA. Endpoints:
+The client application reads only the 32-byte fingerprint hint at the
+front of the request body, to throttle on it; the whole body goes to the
+TA, which decodes and checks the signed request behind the hint.
+Endpoints:
 
-    POST /v1/entropy   hint(32) || request envelope -> response envelope
-    POST /v1/attest    nonce(32)                    -> encoded quote
+    POST /v1/entropy   hint(32) || request  -> response envelope
+    POST /v1/attest    nonce(32)            -> encoded quote
     GET  /v1/pubkey    -> DER public key
 
 Bodies are raw binary (application/octet-stream). Logs never contain key
@@ -42,7 +43,6 @@ OCTET_STREAM = "application/octet-stream"
 STATUS_MAP: dict[TaStatus, tuple[int, str]] = {
     TaStatus.UNKNOWN_COMMAND: (500, "internal"),
     TaStatus.MALFORMED: (400, "malformed"),
-    TaStatus.DECRYPT_FAILURE: (400, "decrypt-failure"),
     TaStatus.BAD_SIGNATURE: (400, "bad-signature"),
     TaStatus.FIELD_OUT_OF_RANGE: (400, "field-out-of-range"),
     TaStatus.HINT_MISMATCH: (400, "hint-mismatch"),

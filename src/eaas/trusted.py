@@ -1,8 +1,8 @@
 """Simulated Trusted Application: the minimal-TCB side of the server.
 
-All secret-touching work (key custody, request decryption, signature
-verification, entropy extraction, response sealing, quote signing) lives
-behind a single message-shaped entrypoint, ``ta_invoke``:
+All secret-touching work (key custody, request signature verification,
+entropy extraction, response sealing, quote signing) lives behind a
+single message-shaped entrypoint, ``ta_invoke``:
 
     command  = command_id u8 || payload
     response = status u8 || body
@@ -10,7 +10,7 @@ behind a single message-shaped entrypoint, ``ta_invoke``:
 Commands and payload schemas:
 
     GET_PUBKEY (0x01)      payload empty          -> DER public key
-    HANDLE_REQUEST (0x02)  hint(32) || envelope   -> response envelope
+    HANDLE_REQUEST (0x02)  hint(32) || request    -> response envelope
     ATTEST (0x03)          nonce(32)              -> encoded quote
 
 The byte-string seam means a real enclave boundary could replace this
@@ -26,7 +26,6 @@ import os
 import threading
 from collections import OrderedDict
 from pathlib import Path
-from typing import NamedTuple
 
 from cryptography.hazmat.primitives.asymmetric import rsa
 
@@ -40,8 +39,6 @@ from .errors import (
     InvalidKey,
     MalformedMessage,
     NoSources,
-    OpenFailure,
-    UnwrapFailure,
 )
 from .pool import Clock, EntropyPool, system_clock_ceil_ms
 
@@ -56,7 +53,6 @@ class TaStatus(enum.IntEnum):
     OK = 0
     UNKNOWN_COMMAND = 1
     MALFORMED = 2
-    DECRYPT_FAILURE = 3
     BAD_SIGNATURE = 4
     FIELD_OUT_OF_RANGE = 5
     HINT_MISMATCH = 6
@@ -64,22 +60,12 @@ class TaStatus(enum.IntEnum):
     NO_SOURCES = 8
 
 
-# Most request bindings the TA keeps, by wrapped key. An entry (a
-# 384-byte wrapped key, a 16-byte session key, the request plaintext, its
-# decoded request, the loaded client key and their OrderedDict slot)
-# takes 2.5 KB under tracemalloc on CPython 3.11, and the key holds
-# OpenSSL memory besides: filling the memo grew RSS by 8.4 MiB, against
-# 1.6 MiB when an entry held the session key alone.
+# Most requests the TA keeps as checked, by the SHA-256 of their
+# payload (hint and request). An entry holds the loaded client key and
+# delta_s. Filling the memo (one client key, delta_s 1 to 1,024) grew
+# RSS by 2.8 MiB on CPython 3.11, against 5.1 MiB measured the same way
+# when an entry also held a request key, its wrap and the request.
 _REQUEST_KEYS_MAX = 1024
-
-
-class _Binding(NamedTuple):
-    """A request key and the request it sealed that checked out."""
-
-    session_key: bytes
-    plaintext: bytes
-    request: wire.EntropyRequest
-    client_pub: rsa.RSAPublicKey
 
 
 def encode_command(command: TaCommand, payload: bytes = b"") -> bytes:
@@ -111,9 +97,10 @@ class TrustedApplication:
         self._max_delta_s = max_delta_s
         self._harvest_deadline_ms = harvest_deadline_ms
         self._lock = threading.Lock()
-        # wrapped key -> _Binding, least recently served first; see
-        # _handle_request.
-        self._request_keys: OrderedDict[bytes, _Binding] = OrderedDict()
+        # SHA-256 of a payload that checked out -> (client key,
+        # delta_s), least recently served first; see _handle_request.
+        self._requests: OrderedDict[
+            bytes, tuple[rsa.RSAPublicKey, int]] = OrderedDict()
 
     def ta_invoke(self, command: bytes) -> bytes:
         """Dispatch one serialized command; at most one runs at a time."""
@@ -134,8 +121,6 @@ class TrustedApplication:
                     body = self._attest(payload)
             except (MalformedMessage, InvalidKey):
                 return bytes([TaStatus.MALFORMED])
-            except (UnwrapFailure, OpenFailure):
-                return bytes([TaStatus.DECRYPT_FAILURE])
             except BadSignature:
                 return bytes([TaStatus.BAD_SIGNATURE])
             except FieldOutOfRange:
@@ -156,51 +141,41 @@ class TrustedApplication:
         return self._identity.public_der
 
     def _handle_request(self, payload: bytes) -> bytes:
-        if len(payload) < wire.FINGERPRINT_LEN:
-            raise MalformedMessage("payload shorter than fingerprint hint")
-        hint = payload[:wire.FINGERPRINT_LEN]
-        envelope = wire.decode_envelope(payload[wire.FINGERPRINT_LEN:])
-        # A client seals every request of one binding under one key, so the
-        # key is unwrapped once: OAEP decryption is deterministic, and a
-        # hit returns what unwrap_key would. The sealed request is fixed
-        # per binding too, so a plaintext equal byte for byte to the one
-        # that checked out under this key is not decoded or verified
-        # again; any other plaintext takes the full path. The envelope
-        # is still opened, and the hint checked, every time.
-        wrapped = envelope.wrapped_key
-        known = self._request_keys.get(wrapped)
-        session_key = (known.session_key if known is not None
-                       else crypto.unwrap_key(self._identity.secret, wrapped))
-        plaintext = crypto.open_payload(session_key, envelope.nonce,
-                                        envelope.ciphertext)
-        binding = known
-        if known is None or known.plaintext != plaintext:
-            request = wire.decode_request(plaintext, self._max_delta_s)
-            binding = _Binding(session_key, plaintext, request,
-                               crypto.load_public_key(request.client_pub_key))
-        request, client_pub = binding.request, binding.client_pub
-        if wire.fingerprint(request.client_pub_key) != hint:
-            raise HintMismatch("hint does not match signed public key")
-        if binding is not known and not crypto.verify(
-                client_pub, crypto.REQUEST_TAG,
-                crypto.request_signing_bytes(request.client_pub_key,
-                                             request.delta_s),
-                request.sigma1):
-            raise BadSignature("sigma1 does not verify")
-        # Only a request that checks out takes (or refreshes) a slot; a
-        # sender can at worst evict bindings, which costs their owners one
-        # unwrap and one verify each.
-        self._request_keys[wrapped] = binding
-        self._request_keys.move_to_end(wrapped)
-        if len(self._request_keys) > _REQUEST_KEYS_MAX:
-            self._request_keys.popitem(last=False)
+        # The request (pk, delta_s, sigma1) is a static binding, so a
+        # client sends the same payload for every request of one
+        # binding. A payload equal to one that checked out is not
+        # decoded, loaded or verified again; any other takes the full
+        # path, and only one that passes all of it takes (or refreshes)
+        # a slot. A sender can at worst evict entries, which costs their
+        # owners one key load and one verify each.
+        digest = hashlib.sha256(payload).digest()
+        known = self._requests.get(digest)
+        if known is None:
+            hint = payload[:wire.FINGERPRINT_LEN]
+            request = wire.decode_request(payload[wire.FINGERPRINT_LEN:],
+                                          self._max_delta_s)
+            if wire.fingerprint(request.client_pub_key) != hint:
+                raise HintMismatch("hint does not match signed public key")
+            client_pub = crypto.load_public_key(request.client_pub_key)
+            if not crypto.verify(
+                    client_pub, crypto.REQUEST_TAG,
+                    crypto.request_signing_bytes(request.client_pub_key,
+                                                 request.delta_s),
+                    request.sigma1):
+                raise BadSignature("sigma1 does not verify")
+            known = (client_pub, request.delta_s)
+        self._requests[digest] = known
+        self._requests.move_to_end(digest)
+        if len(self._requests) > _REQUEST_KEYS_MAX:
+            self._requests.popitem(last=False)
+        client_pub, delta_s = known
 
         # Harvest covers the requested entropy plus the response session
         # key, also from the pool (one extraction, split) for seal_message.
-        needed = 8 * (request.delta_s + crypto.SESSION_KEY_LEN)
+        needed = 8 * (delta_s + crypto.SESSION_KEY_LEN)
         self._pool.harvest(needed, self._harvest_deadline_ms)
-        out = self._pool.extract(request.delta_s + crypto.SESSION_KEY_LEN)
-        entropy, session_key = out[:request.delta_s], out[request.delta_s:]
+        out = self._pool.extract(delta_s + crypto.SESSION_KEY_LEN)
+        entropy, session_key = out[:delta_s], out[delta_s:]
 
         t2 = self._clock()
         payload_bytes = wire.encode_response_payload(

@@ -3,12 +3,13 @@
 All integers are big-endian. Every network message starts with the same
 two-byte prologue (magic + version) followed by a message-type byte.
 
-Entropy request (msg_type 0x01, travels encrypted inside an envelope)::
+Entropy request (msg_type 0x01, sent in the clear after the hint)::
 
     "EAAS" | version u8 | 0x01 | pk_len u16 | pk_DER | delta_s u32
            | sig_len u16 | sigma1
 
-Sealed envelope (msg_type 0x02, the only cleartext message on the wire)::
+Sealed envelope (msg_type 0x02, the response; the client refuses one
+with sig_flag 0)::
 
     "EAAS" | version u8 | 0x02 | wrapped_key (384) | nonce (12)
            | ct_len u32 | ciphertext | sig_flag u8 | [sigma2 (384)]
@@ -57,12 +58,10 @@ DEFAULT_MAX_DELTA_S = 4096
 
 _PROLOGUE = struct.Struct(">4sBB")
 
-# Longest HTTP POST body the format can hold: the hint, then an envelope
-# (sigma2 included) sealing a request with a u16-maximal public key.
-MAX_BODY_LEN = (
-    FINGERPRINT_LEN + _PROLOGUE.size + WRAPPED_KEY_LEN + NONCE_LEN + 4
-    + (_PROLOGUE.size + 2 + 0xFFFF + 4 + 2 + SIGNATURE_LEN)
-    + GCM_TAG_LEN + 1 + SIGNATURE_LEN)
+# Longest HTTP POST body the format can hold: the hint, then a request
+# with a u16-maximal public key.
+MAX_BODY_LEN = (FINGERPRINT_LEN + _PROLOGUE.size + 2 + 0xFFFF + 4 + 2
+                + SIGNATURE_LEN)
 
 
 @dataclass(frozen=True)

@@ -78,7 +78,6 @@ def thousand_roundtrips(server_keypair, client_keypair):
     clock, pool, ta, service = make_stack(
         server_keypair, seed=101, capacity=Fraction(10 ** 6))
     identity = identity_for(client_keypair, server_keypair)
-    rng = seeded_generator(2025)
 
     extracted: list[bytes] = []
     original_extract = pool.extract
@@ -101,7 +100,7 @@ def thousand_roundtrips(server_keypair, client_keypair):
     try:
         for i in range(1000):
             body, t1 = client_mod.build_request(
-                identity, 32, rng=rng, clock=clock.now)
+                identity, 32, clock=clock.now)
             clock.advance(1)
             status, reply, _ = service.handle_entropy(body)
             if status != 200:
@@ -180,11 +179,8 @@ def _request_side_trial(field, rng, identity, server_keypair, service,
         mutated = bytearray(sigma1)
         mutated[pos] ^= rng.randrange(1, 256)
         sigma1 = bytes(mutated)
-    plaintext = wire.encode_request(wire.EntropyRequest(
+    body = hint + wire.encode_request(wire.EntropyRequest(
         client_pub_key=pub_der, delta_s=delta_s, sigma1=sigma1))
-    env = crypto.seal_message(identity.server_public, plaintext,
-                              rng.randbytes)
-    body = hint + wire.encode_envelope(env)
     if field == "hint":
         mutated = bytearray(body)
         mutated[rng.randrange(32)] ^= rng.randrange(1, 256)
@@ -197,8 +193,7 @@ def _request_side_trial(field, rng, identity, server_keypair, service,
 def _response_side_trial(field, rng, identity, server_keypair, service,
                          clock):
     """Serve honestly, mutate one envelope field, run verification."""
-    body, t1 = client_mod.build_request(identity, 32, rng=rng.randbytes,
-                                        clock=clock.now)
+    body, t1 = client_mod.build_request(identity, 32, clock=clock.now)
     status, reply, _ = _serve(service, clock, body)
     assert status == 200
     env = wire.decode_envelope(reply)
@@ -272,9 +267,7 @@ def test_criterion_3_freshness(server_keypair, client_keypair):
     # a captured response replayed against every later request's t1
     clock, _, _, service = make_stack(server_keypair, seed=77,
                                       capacity=Fraction(10 ** 6))
-    body, t1 = client_mod.build_request(identity, 32,
-                                        rng=seeded_generator(1),
-                                        clock=clock.now)
+    body, t1 = client_mod.build_request(identity, 32, clock=clock.now)
     clock.advance(1)
     status, captured, _ = service.handle_entropy(body)
     assert status == 200
@@ -374,9 +367,7 @@ def test_criterion_6_hybrid_size_claim(server_keypair, client_keypair):
     clock, _, _, service = make_stack(server_keypair, seed=66,
                                       capacity=Fraction(100))
     identity = identity_for(client_keypair, server_keypair)
-    body, t1 = client_mod.build_request(identity, 4096,
-                                        rng=seeded_generator(6),
-                                        clock=clock.now)
+    body, t1 = client_mod.build_request(identity, 4096, clock=clock.now)
     clock.advance(1)
     status, reply, _ = service.handle_entropy(body)
     assert status == 200
@@ -413,12 +404,10 @@ def deliver_mib(server_keypair, client_keypair, seed: int) -> bytes:
         server_keypair, seed=seed, max_delta_s=C7_DELTA_S,
         capacity=Fraction(10 ** 6))
     identity = identity_for(client_keypair, server_keypair)
-    rng = seeded_generator(seed + 31337)
     out = bytearray()
     for _ in range(C7_REQUESTS):
         body, t1 = client_mod.build_request(
-            identity, C7_DELTA_S, rng=rng, clock=clock.now,
-            max_delta_s=C7_DELTA_S)
+            identity, C7_DELTA_S, clock=clock.now, max_delta_s=C7_DELTA_S)
         clock.advance(1)
         status, reply, _ = service.handle_entropy(body)
         assert status == 200, reply
@@ -475,11 +464,10 @@ def test_criterion_7_stuck_source_among_three(server_keypair,
                      clock_mode="injected"),
         ta, clock.now)
     identity = identity_for(client_keypair, server_keypair)
-    rng = seeded_generator(999)
 
     out = bytearray()
     for _ in range(C7_REQUESTS):
-        body, t1 = client_mod.build_request(identity, C7_DELTA_S, rng=rng,
+        body, t1 = client_mod.build_request(identity, C7_DELTA_S,
                                             clock=clock.now,
                                             max_delta_s=C7_DELTA_S)
         clock.advance(1)

@@ -74,17 +74,14 @@ def make_identity(keypair, server_keypair, tmp_path=None):
 
 
 class TestBuildRequest:
-    def test_decrypts_to_verifying_request(self, client_keypair,
-                                           server_keypair):
+    def test_body_is_hint_and_verifying_request(self, client_keypair,
+                                                server_keypair):
         identity = make_identity(client_keypair, server_keypair)
         body, t1 = client_mod.build_request(identity, 48)
         assert t1 > 0
-        hint, env_bytes = body[:32], body[32:]
+        hint, request = body[:32], body[32:]
         assert hint == identity.fingerprint
-        env = wire.decode_envelope(env_bytes)
-        assert env.sigma2 is None
-        plaintext = crypto.open_message(server_keypair.secret, env)
-        req = wire.decode_request(plaintext)
+        req = wire.decode_request(request)
         assert req.delta_s == 48
         assert crypto.verify(client_keypair.public, crypto.REQUEST_TAG,
                              crypto.request_signing_bytes(
@@ -97,13 +94,6 @@ class TestBuildRequest:
             client_mod.build_request(identity, 4097)
         with pytest.raises(FieldOutOfRange):
             client_mod.build_request(identity, 0)
-
-    def test_two_builds_differ_as_ciphertext(self, client_keypair,
-                                             server_keypair):
-        identity = make_identity(client_keypair, server_keypair)
-        body1, _ = client_mod.build_request(identity, 32)
-        body2, _ = client_mod.build_request(identity, 32)
-        assert body1 != body2
 
 
 def count_signs(monkeypatch) -> list:
@@ -123,10 +113,8 @@ def ta_status(ta, body: bytes) -> TaStatus:
         encode_command(TaCommand.HANDLE_REQUEST, body))[0])
 
 
-def sealed_sigma1(body: bytes, server_keypair) -> bytes:
-    env = wire.decode_envelope(body[wire.FINGERPRINT_LEN:])
-    return wire.decode_request(
-        crypto.open_message(server_keypair.secret, env)).sigma1
+def sent_sigma1(body: bytes) -> bytes:
+    return wire.decode_request(body[wire.FINGERPRINT_LEN:]).sigma1
 
 
 class TestSigma1Memo:
@@ -152,24 +140,21 @@ class TestSigma1Memo:
         assert ta_status(ta, body) is TaStatus.OK
         # What a stale memo would have sent: the old key's sigma1 under
         # the new key.
-        stale = client_mod.seal_request(
-            server_keypair.public, other_keypair.public_der, 32,
-            sealed_sigma1(old_body, server_keypair), rng=os.urandom,
-            max_delta_s=wire.DEFAULT_MAX_DELTA_S)
+        stale = (wire.fingerprint(other_keypair.public_der)
+                 + wire.encode_request(wire.EntropyRequest(
+                     other_keypair.public_der, 32, sent_sigma1(old_body))))
         assert ta_status(ta, stale) is TaStatus.BAD_SIGNATURE
 
-    def test_reused_sigma1_in_fresh_envelopes(self, monkeypatch, stack,
-                                              client_keypair,
-                                              server_keypair):
+    def test_reused_sigma1_in_identical_bodies(self, monkeypatch, stack,
+                                               client_keypair,
+                                               server_keypair):
         _, _, ta, _ = stack
         identity = make_identity(client_keypair, server_keypair)
         calls = count_signs(monkeypatch)
         body1, _ = client_mod.build_request(identity, 32)
         body2, _ = client_mod.build_request(identity, 32)
         assert len(calls) == 1
-        assert (sealed_sigma1(body1, server_keypair)
-                == sealed_sigma1(body2, server_keypair))
-        assert body1[wire.FINGERPRINT_LEN:] != body2[wire.FINGERPRINT_LEN:]
+        assert body1 == body2
         assert ta_status(ta, body1) is TaStatus.OK
         assert ta_status(ta, body2) is TaStatus.OK
 
@@ -187,7 +172,7 @@ class TestSigma1Memo:
         def worker(first: int) -> None:
             for i in range(2_000):
                 delta_s = (32, 48)[(first + i) % 2]
-                if (client_mod.request_signature(identity, delta_s)
+                if (client_mod.signed_request(identity, delta_s).sigma1
                         != expected[delta_s]):
                     wrong.append(delta_s)
             finished.append(first)
@@ -698,6 +683,35 @@ def test_one_http_path():
     assert connections_made(tree) == connections_made(exchange) == 1
 
 
+def test_one_seal_path():
+    """Only the TA seals, and only crypto.open_message unwraps: the
+    client calls none of wrap_key, seal_payload or seal_message, the
+    package calls seal_message only from trusted.py, and unwrap_key only
+    from crypto.open_message."""
+    import ast
+
+    def calls(node, where):
+        """(innermost enclosing function or None, called name)."""
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                yield from calls(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                yield where, getattr(func, "id", getattr(func, "attr", None))
+            yield from calls(child, where)
+
+    sealing = {"wrap_key", "seal_payload", "seal_message", "unwrap_key"}
+    found = {(path.stem, where, name)
+             for path in Path(client_mod.__file__).parent.glob("*.py")
+             for where, name in calls(ast.parse(path.read_text()), None)
+             if name in sealing}
+    assert not {c for c in found if c[0] == "client"}
+    assert {c[0] for c in found if c[2] == "seal_message"} == {"trusted"}
+    assert {c[:2] for c in found if c[2] == "unwrap_key"} == {
+        ("crypto", "open_message")}
+
+
 class TestCli:
     def test_provision_fetch_attest(self, tmp_path, capsys):
         from eaas.config import DEFAULT_PLATFORM_MEASUREMENT
@@ -728,7 +742,7 @@ class TestCli:
             assert len(out_file.read_bytes()) == 24
 
             assert client_mod.main([
-                "attest", "--url", server.url,
+                "attest", "--store", str(store), "--url", server.url,
                 "--expect-ta", module_measurement().hex(),
                 "--expect-sm", DEFAULT_PLATFORM_MEASUREMENT.hex()]) == 0
             assert "quote accepted" in capsys.readouterr().out

@@ -157,22 +157,27 @@ class TestSealOpen:
 
 
 class TestHybrid:
-    def test_full_roundtrip_max_payload(self, client_keypair):
+    def test_full_roundtrip_max_payload(self, client_keypair,
+                                        server_keypair):
         payload = os.urandom(4105)
-        env = crypto.seal_message(client_keypair.public, payload)
+        env = crypto.seal_message(client_keypair.public, payload,
+                                  signer=server_keypair.secret,
+                                  session_key=os.urandom(16))
         assert crypto.open_message(client_keypair.secret, env) == payload
 
     def test_signed_envelope_verifies(self, client_keypair, server_keypair):
         env = crypto.seal_message(client_keypair.public, b"data",
-                                  signer=server_keypair.secret)
+                                  signer=server_keypair.secret,
+                                  session_key=os.urandom(16))
         assert crypto.verify(
             server_keypair.public, crypto.RESPONSE_TAG,
             crypto.envelope_signing_bytes(env.wrapped_key, env.nonce,
                                           env.ciphertext),
             env.sigma2)
 
-    def test_supplied_session_key_used(self, client_keypair):
-        """A caller-supplied session key is wrapped as given; rng then
+    def test_supplied_session_key_used(self, client_keypair,
+                                       server_keypair):
+        """A caller-supplied session key is wrapped as given; rng
         supplies only the nonce."""
         session_key = bytes(range(16))
         draws = []
@@ -182,6 +187,7 @@ class TestHybrid:
             return b"\x07" * n
 
         env = crypto.seal_message(client_keypair.public, b"payload", rng,
+                                  signer=server_keypair.secret,
                                   session_key=session_key)
         assert draws == [wire.NONCE_LEN]
         assert crypto.unwrap_key(client_keypair.secret,
@@ -203,17 +209,23 @@ class TestHybrid:
             client_keypair.public.encrypt(b"x" * 319, oaep)
         assert 4105 > crypto.OAEP_CAPACITY
 
-    def test_no_session_key_nonce_reuse(self, client_keypair):
+    def test_no_session_key_nonce_reuse(self, client_keypair,
+                                        server_keypair):
         """Instrumented generation: fresh (key, nonce) per envelope."""
         seen = set()
         for _ in range(50):
-            env = crypto.seal_message(client_keypair.public, b"x")
+            env = crypto.seal_message(client_keypair.public, b"x",
+                                      signer=server_keypair.secret,
+                                      session_key=os.urandom(16))
             key = crypto.unwrap_key(client_keypair.secret, env.wrapped_key)
             assert (key, env.nonce) not in seen
             seen.add((key, env.nonce))
 
-    def test_envelope_lengths_match_wire_invariants(self, client_keypair):
-        env = crypto.seal_message(client_keypair.public, b"q" * 41)
+    def test_envelope_lengths_match_wire_invariants(self, client_keypair,
+                                                    server_keypair):
+        env = crypto.seal_message(client_keypair.public, b"q" * 41,
+                                  signer=server_keypair.secret,
+                                  session_key=os.urandom(16))
         assert len(env.wrapped_key) == wire.WRAPPED_KEY_LEN
         assert len(env.nonce) == wire.NONCE_LEN
         assert len(env.ciphertext) == 41 + wire.GCM_TAG_LEN

@@ -79,7 +79,6 @@ ADVERSARY_EXPECTATIONS = [
     (AdversaryKind.TAMPER_DELTA_S, "bad-signature"),
     (AdversaryKind.TAMPER_SIGMA1, "bad-signature"),
     (AdversaryKind.TAMPER_HINT, "hint-mismatch"),
-    (AdversaryKind.TAMPER_REQUEST_CIPHERTEXT, "decrypt-failure"),
     (AdversaryKind.TAMPER_WRAPPED_KEY, "bad-server-signature"),
     (AdversaryKind.TAMPER_NONCE, "bad-server-signature"),
     (AdversaryKind.TAMPER_CIPHERTEXT, "bad-server-signature"),
@@ -159,7 +158,6 @@ class TestRunAdversary:
             "delta_s": AdversaryKind.TAMPER_DELTA_S,
             "sigma1": AdversaryKind.TAMPER_SIGMA1,
             "fingerprint_hint": AdversaryKind.TAMPER_HINT,
-            "request_ciphertext": AdversaryKind.TAMPER_REQUEST_CIPHERTEXT,
             "wrapped_key": AdversaryKind.TAMPER_WRAPPED_KEY,
             "nonce": AdversaryKind.TAMPER_NONCE,
             "response_ciphertext": AdversaryKind.TAMPER_CIPHERTEXT,
@@ -388,7 +386,7 @@ REPO = Path(__file__).resolve().parents[1]
       "scripts/sample-scenario.conf", "--seed", "4"],
      "a37d6a077c0f11b75fb5ead34606702aaeb24d0e939202a1206e5ea73ed8b7fa"),
     (["scripts/attack_matrix.py", "--seed", "1"],
-     "51f8851efe2567448f08c3d86d116f57eb6147934f86b40ccb3c2c8988f74419"),
+     "955a2b995fd40ec4a870bf2a52efb8a90db8e88ec3fe22ebe0b668f578194ec8"),
     (["scripts/depletion_experiment.py", "--seed", "1"],
      "04703f4eb6887a24a389f79cfb9e7de45d2f08f2e52605d801e4356fadc83596"),
     (["scripts/entropy_quality.py", "--mib", "1", "--seed", "0"],

@@ -254,10 +254,9 @@ class TestEntropyService:
         pub_der = crypto.public_key_der(client_keypair.public)
         sigma1 = crypto.sign(client_keypair.secret, crypto.REQUEST_TAG,
                              crypto.request_signing_bytes(pub_der, 7))
-        plaintext = wire.encode_request(wire.EntropyRequest(
-            client_pub_key=pub_der, delta_s=8, sigma1=sigma1))
-        env = crypto.seal_message(server_keypair.public, plaintext)
-        body = wire.fingerprint(pub_der) + wire.encode_envelope(env)
+        body = wire.fingerprint(pub_der) + wire.encode_request(
+            wire.EntropyRequest(client_pub_key=pub_der, delta_s=8,
+                                sigma1=sigma1))
         status, reply, _ = service.handle_entropy(body)
         assert (status, reply) == (400, b"bad-signature")
 
@@ -688,8 +687,26 @@ class TestHttp:
         quote = client_mod.request_attestation(
             http_server.url,
             expected_sm=DEFAULT_PLATFORM_MEASUREMENT,
-            expected_ta=module_measurement())
+            expected_ta=module_measurement(),
+            attestation_pk=crypto.load_public_key(
+                http_server.service.pubkey_der()))
         assert quote.quote_time > 0
+
+    def test_attest_refuses_a_server_with_its_own_key(self, http_server,
+                                                      server_keypair):
+        """A server running the public code with the default platform
+        measurement and a fresh key of its own reports the expected
+        measurements, but its quote does not verify under the key the
+        device pinned."""
+        from eaas.errors import QuoteRejected
+        from eaas.trusted import module_measurement
+        with pytest.raises(QuoteRejected) as exc:
+            client_mod.request_attestation(
+                http_server.url,
+                expected_sm=DEFAULT_PLATFORM_MEASUREMENT,
+                expected_ta=module_measurement(),
+                attestation_pk=server_keypair.public)
+        assert exc.value.reason == "sig"
 
     def test_throttling_over_http(self, tmp_path):
         cfg = ServerConfig(

@@ -33,15 +33,14 @@ def make_ta(server_keypair, clock=None, pool=None, **kwargs):
         clock=clock.now, rng=seeded_generator(1), **kwargs), clock
 
 
-def build_body(client_keypair, server_pub, delta_s=32, rng=os.urandom):
-    """Client-side request body (hint || envelope) without the SDK layer."""
+def build_body(client_keypair, server_pub, delta_s=32):
+    """Client-side request body (hint || request) without the SDK layer."""
     pub_der = crypto.public_key_der(client_keypair.public)
     sigma1 = crypto.sign(client_keypair.secret, crypto.REQUEST_TAG,
                          crypto.request_signing_bytes(pub_der, delta_s))
-    plaintext = wire.encode_request(wire.EntropyRequest(
-        client_pub_key=pub_der, delta_s=delta_s, sigma1=sigma1))
-    env = crypto.seal_message(server_pub, plaintext, rng)
-    return wire.fingerprint(pub_der) + wire.encode_envelope(env)
+    return wire.fingerprint(pub_der) + wire.encode_request(
+        wire.EntropyRequest(client_pub_key=pub_der, delta_s=delta_s,
+                            sigma1=sigma1))
 
 
 class TestDispatch:
@@ -61,15 +60,15 @@ class TestDispatch:
         assert ta.ta_invoke(b"") == bytes([TaStatus.MALFORMED])
 
     def test_garbage_payload_no_partial_output(self, server_keypair):
-        """A structurally valid envelope full of random bytes fails
-        all-or-nothing at decryption."""
+        """A structurally valid envelope full of random bytes, where the
+        request belongs, fails all-or-nothing at decoding."""
         ta, _ = make_ta(server_keypair)
         garbage_env = wire.encode_envelope(wire.SealedEnvelope(
             wrapped_key=os.urandom(384), nonce=os.urandom(12),
             ciphertext=os.urandom(48), sigma2=None))
         reply = ta.ta_invoke(encode_command(
             TaCommand.HANDLE_REQUEST, os.urandom(32) + garbage_env))
-        assert reply == bytes([TaStatus.DECRYPT_FAILURE])
+        assert reply == bytes([TaStatus.MALFORMED])
 
     def test_undecodable_payload_is_malformed(self, server_keypair):
         ta, _ = make_ta(server_keypair)
@@ -108,10 +107,9 @@ class TestHandleRequest:
         pub_der = crypto.public_key_der(client_keypair.public)
         sigma1 = crypto.sign(client_keypair.secret, crypto.REQUEST_TAG,
                              crypto.request_signing_bytes(pub_der, 32))
-        plaintext = wire.encode_request(wire.EntropyRequest(
-            client_pub_key=pub_der, delta_s=33, sigma1=sigma1))
-        env = crypto.seal_message(server_keypair.public, plaintext)
-        body = wire.fingerprint(pub_der) + wire.encode_envelope(env)
+        body = wire.fingerprint(pub_der) + wire.encode_request(
+            wire.EntropyRequest(client_pub_key=pub_der, delta_s=33,
+                                sigma1=sigma1))
 
         ta, _ = make_ta(server_keypair)
         reply = ta.ta_invoke(encode_command(TaCommand.HANDLE_REQUEST, body))
@@ -122,10 +120,9 @@ class TestHandleRequest:
         pub_der = crypto.public_key_der(client_keypair.public)
         sigma1 = crypto.sign(other_keypair.secret, crypto.REQUEST_TAG,
                              crypto.request_signing_bytes(pub_der, 32))
-        plaintext = wire.encode_request(wire.EntropyRequest(
-            client_pub_key=pub_der, delta_s=32, sigma1=sigma1))
-        env = crypto.seal_message(server_keypair.public, plaintext)
-        body = wire.fingerprint(pub_der) + wire.encode_envelope(env)
+        body = wire.fingerprint(pub_der) + wire.encode_request(
+            wire.EntropyRequest(client_pub_key=pub_der, delta_s=32,
+                                sigma1=sigma1))
         ta, _ = make_ta(server_keypair)
         reply = ta.ta_invoke(encode_command(TaCommand.HANDLE_REQUEST, body))
         assert reply == bytes([TaStatus.BAD_SIGNATURE])
@@ -163,8 +160,7 @@ class TestHandleRequest:
         transcripts = []
         for _ in range(2):
             ta, clock = make_ta(server_keypair)
-            body = build_body(client_keypair, server_keypair.public,
-                              rng=seeded_generator(55))
+            body = build_body(client_keypair, server_keypair.public)
             clock.advance(3)
             reply = ta.ta_invoke(encode_command(TaCommand.HANDLE_REQUEST,
                                                 body))
