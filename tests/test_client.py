@@ -95,6 +95,17 @@ class TestBuildRequest:
         with pytest.raises(FieldOutOfRange):
             client_mod.build_request(identity, 0)
 
+    def test_two_builds_send_identical_bodies(self, client_keypair,
+                                              server_keypair):
+        """The request is signed, not sealed: one binding always sends
+        the same bytes."""
+        identity = make_identity(client_keypair, server_keypair)
+        body1, _ = client_mod.build_request(identity, 32)
+        body2, _ = client_mod.build_request(identity, 32)
+        assert body1 == body2
+        body3, _ = client_mod.build_request(identity, 48)
+        assert body3 != body1
+
 
 def count_signs(monkeypatch) -> list:
     """Record the message of every crypto.sign call from here on."""
