@@ -7,7 +7,10 @@ or none with a pre-installed one.
 
 Verification order is fixed and security-relevant: server signature
 first, then decryption, then semantic checks, so nothing about payload
-contents is revealed to an unauthenticated peer.
+contents is revealed to an unauthenticated peer. Decryption unwraps a
+binding's key with the device's RSA key once, on its first verified
+response, so a steady response costs the device one sigma2 verify, an
+AES-KW unwrap and a GCM open, and no RSA private op.
 """
 
 from __future__ import annotations
@@ -160,8 +163,10 @@ def verify_response(envelope_bytes: bytes, *, t1: int, delta_s: int,
                     ) -> bytes:
     """Run the verification chain and return the entropy bytes.
 
-    Order: sigma2, unwrap, open, quantity, freshness (t2 > t1 strictly,
-    and t2 not further than max_future_skew_ms past the local clock).
+    Order: sigma2, unwrap (of the binding key, unless crypto's memo has
+    it for secret_key, then of the session key), open, quantity,
+    freshness (t2 > t1 strictly, and t2 not further than
+    max_future_skew_ms past the local clock).
     """
     env = wire.decode_envelope(envelope_bytes)
     if env.sigma2 is None:

@@ -1,22 +1,27 @@
 """Hybrid-envelope primitives: RSA-3072 signatures and key wrapping,
-AES-128-GCM payload encryption.
+AES-KW session-key wrapping, AES-128-GCM payload encryption.
 
 Signatures are RSA-PSS over SHA-256 and always cover a domain-separation
 tag so a signature made for one protocol role can never verify in another.
 Key wrapping is RSA-OAEP over SHA-256; a 3072-bit key can carry at most
 OAEP_CAPACITY (318) plaintext bytes, which is why payloads travel under a
-fixed-length symmetric session key instead.
+fixed-length symmetric session key instead. A response's session key is
+fresh, and travels AES-KW-wrapped (RFC 3394) under its binding's key,
+which is OAEP-wrapped to the client once per binding; so the client makes
+one RSA private op per binding, not per response.
 """
 
 from __future__ import annotations
 
 import os
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
-from cryptography.hazmat.primitives import hashes, serialization
+from cryptography.hazmat.primitives import hashes, keywrap, serialization
 from cryptography.hazmat.primitives.asymmetric import padding, rsa
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
@@ -26,6 +31,7 @@ from .wire import NONCE_LEN, SealedEnvelope
 RSA_BITS = 3072
 RSA_BYTES = RSA_BITS // 8                      # 384
 SESSION_KEY_LEN = 16                           # AES-128
+KW_LEN = SESSION_KEY_LEN + 8                   # an AES-KW-wrapped session key
 OAEP_CAPACITY = RSA_BYTES - 2 * 32 - 2         # 318 bytes for SHA-256 OAEP
 
 REQUEST_TAG = b"EAAS-REQ-V1"
@@ -49,6 +55,13 @@ class KeyPair:
     @property
     def public_der(self) -> bytes:
         return public_key_der(self.public)
+
+
+class BindingKey(NamedTuple):
+    """A binding's response key K_b and its wrap_key to the client, W."""
+
+    key: bytes
+    wrapped: bytes
 
 
 def generate_keypair() -> KeyPair:
@@ -158,11 +171,11 @@ def quote_signing_bytes(nonce: bytes, sm_measurement: bytes,
 
 # --- key wrapping ----------------------------------------------------------
 
-def wrap_key(recipient: rsa.RSAPublicKey, session_key: bytes) -> bytes:
-    """RSA-OAEP-SHA-256 encryption of a 16-byte session key; 384 bytes."""
-    if len(session_key) != SESSION_KEY_LEN:
-        raise ValueError(f"session key must be {SESSION_KEY_LEN} bytes")
-    return recipient.encrypt(session_key, _OAEP)
+def wrap_key(recipient: rsa.RSAPublicKey, key: bytes) -> bytes:
+    """RSA-OAEP-SHA-256 encryption of a 16-byte key; 384 bytes."""
+    if len(key) != SESSION_KEY_LEN:
+        raise ValueError(f"key must be {SESSION_KEY_LEN} bytes")
+    return recipient.encrypt(key, _OAEP)
 
 
 def unwrap_key(secret: rsa.RSAPrivateKey, wrapped: bytes) -> bytes:
@@ -172,7 +185,7 @@ def unwrap_key(secret: rsa.RSAPrivateKey, wrapped: bytes) -> bytes:
     try:
         key = secret.decrypt(wrapped, _OAEP)
     except Exception as exc:
-        raise UnwrapFailure("session key unwrap failed") from exc
+        raise UnwrapFailure("key unwrap failed") from exc
     if len(key) != SESSION_KEY_LEN:
         raise UnwrapFailure("unwrapped key has wrong length")
     return key
@@ -202,24 +215,62 @@ def open_payload(session_key: bytes, nonce: bytes, ciphertext: bytes) -> bytes:
 
 # --- hybrid composition ----------------------------------------------------
 
-def seal_message(recipient: rsa.RSAPublicKey, plaintext: bytes,
+def seal_message(binding: BindingKey, plaintext: bytes,
                  rng: Rng = os.urandom, *, signer: rsa.RSAPrivateKey,
                  session_key: bytes) -> SealedEnvelope:
-    """Seal plaintext under session_key wrapped for recipient, with the
-    next rng draw as nonce, and sign it: sigma2 covers wrapped_key ||
-    nonce || ciphertext under RESPONSE_TAG. The TA passes a session key
-    extracted from its entropy pool.
+    """Seal plaintext under session_key, with the next rng draw as
+    nonce, and sign it. The envelope's wrapped_key is binding.wrapped,
+    and its ciphertext is session_key AES-KW-wrapped under binding.key
+    (KW_LEN bytes) followed by the sealed payload; sigma2 covers
+    wrapped_key || nonce || ciphertext under RESPONSE_TAG. The TA passes
+    a session key extracted from its entropy pool for each response.
     """
     nonce = rng(NONCE_LEN)
-    ciphertext = seal_payload(session_key, nonce, plaintext)
-    wrapped = wrap_key(recipient, session_key)
+    ciphertext = (keywrap.aes_key_wrap(binding.key, session_key)
+                  + seal_payload(session_key, nonce, plaintext))
     sigma2 = sign(signer, RESPONSE_TAG,
-                  envelope_signing_bytes(wrapped, nonce, ciphertext))
-    return SealedEnvelope(wrapped_key=wrapped, nonce=nonce,
+                  envelope_signing_bytes(binding.wrapped, nonce, ciphertext))
+    return SealedEnvelope(wrapped_key=binding.wrapped, nonce=nonce,
                           ciphertext=ciphertext, sigma2=sigma2)
 
 
+# Binding keys opened so far, by W: (the secret key object that
+# unwrapped W, K_b), least recently used first. It is module state
+# because open_message(secret, env) is the whole interface the SDK and
+# its callers use; an entry serves only its own secret key object. A
+# client holds about one W per (server, delta_s) it uses, so a few
+# entries serve it.
+_BINDING_KEYS_MAX = 32
+_binding_keys: OrderedDict[
+    bytes, tuple[rsa.RSAPrivateKey, bytes]] = OrderedDict()
+_binding_keys_lock = threading.Lock()
+
+
 def open_message(secret: rsa.RSAPrivateKey, env: SealedEnvelope) -> bytes:
-    """Unwrap the session key and open the payload. No signature check."""
-    session_key = unwrap_key(secret, env.wrapped_key)
-    return open_payload(session_key, env.nonce, env.ciphertext)
+    """Unwrap the binding key, unwrap the session key under it and open
+    the payload. No signature check: verify_response checks sigma2
+    first, so on its path only a W the server signed is unwrapped.
+
+    W is unwrapped once per secret key object: the result is kept in a
+    bounded memo, which serves an entry only to the key that made it.
+    A failed unwrap keeps nothing.
+    """
+    with _binding_keys_lock:
+        entry = _binding_keys.get(env.wrapped_key)
+        if entry is not None and entry[0] is secret:
+            _binding_keys.move_to_end(env.wrapped_key)
+        else:
+            entry = None
+    if entry is None:
+        entry = (secret, unwrap_key(secret, env.wrapped_key))
+        with _binding_keys_lock:
+            _binding_keys[env.wrapped_key] = entry
+            _binding_keys.move_to_end(env.wrapped_key)
+            while len(_binding_keys) > _BINDING_KEYS_MAX:
+                _binding_keys.popitem(last=False)
+    try:
+        session_key = keywrap.aes_key_unwrap(entry[1],
+                                             env.ciphertext[:KW_LEN])
+    except keywrap.InvalidUnwrap as exc:
+        raise OpenFailure("session key unwrap failed") from exc
+    return open_payload(session_key, env.nonce, env.ciphertext[KW_LEN:])

@@ -32,7 +32,7 @@ class InvalidKey(EaasError):
 
 
 class UnwrapFailure(EaasError):
-    """Session-key unwrap failed (wrong key and corruption look alike)."""
+    """RSA key unwrap failed (wrong key and corruption look alike)."""
 
 
 class OpenFailure(EaasError):

@@ -15,6 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from cryptography.hazmat.primitives import keywrap
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -210,9 +211,11 @@ def forge_response(client_keypair, server_keypair, *, t2, entropy,
     re-signing after a mutation (models a signer-capable adversary)."""
     payload = wire.encode_response_payload(
         wire.EntropyResponse(t2=t2, entropy=entropy))
-    session_key, nonce = os.urandom(16), os.urandom(12)
-    ciphertext = crypto.seal_payload(session_key, nonce, payload)
-    wrapped = crypto.wrap_key(client_keypair.public, session_key)
+    binding_key, session_key = os.urandom(16), os.urandom(16)
+    nonce = os.urandom(12)
+    ciphertext = (keywrap.aes_key_wrap(binding_key, session_key)
+                  + crypto.seal_payload(session_key, nonce, payload))
+    wrapped = crypto.wrap_key(client_keypair.public, binding_key)
     if tamper == "wrapped_key":
         wrapped = bytearray(wrapped)
         wrapped[50] ^= 0x01
@@ -721,6 +724,29 @@ def test_one_seal_path():
     assert {c[0] for c in found if c[2] == "seal_message"} == {"trusted"}
     assert {c[:2] for c in found if c[2] == "unwrap_key"} == {
         ("crypto", "open_message")}
+
+
+def test_only_crypto_imports_keywrap():
+    """AES-KW is reached through crypto.seal_message and
+    crypto.open_message alone: no other eaas module imports keywrap."""
+    import ast
+
+    def imports_keywrap(tree) -> bool:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}"
+                         for alias in node.names]
+            else:
+                continue
+            if any(name.split(".")[-1] == "keywrap" or ".keywrap." in name
+                   for name in names):
+                return True
+        return False
+
+    assert {path.stem for path in Path(client_mod.__file__).parent.glob(
+        "*.py") if imports_keywrap(ast.parse(path.read_text()))} == {"crypto"}
 
 
 class TestCli:

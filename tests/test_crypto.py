@@ -5,7 +5,7 @@ from __future__ import annotations
 import os
 
 import pytest
-from cryptography.hazmat.primitives import hashes
+from cryptography.hazmat.primitives import hashes, keywrap
 from cryptography.hazmat.primitives.asymmetric import padding
 
 from eaas import crypto, wire
@@ -156,18 +156,23 @@ class TestSealOpen:
             crypto.open_payload(key, nonce, bytes(bad))
 
 
+def binding_for(recipient) -> crypto.BindingKey:
+    key = os.urandom(16)
+    return crypto.BindingKey(key, crypto.wrap_key(recipient, key))
+
+
 class TestHybrid:
     def test_full_roundtrip_max_payload(self, client_keypair,
                                         server_keypair):
         payload = os.urandom(4105)
-        env = crypto.seal_message(client_keypair.public, payload,
-                                  signer=server_keypair.secret,
+        env = crypto.seal_message(binding_for(client_keypair.public),
+                                  payload, signer=server_keypair.secret,
                                   session_key=os.urandom(16))
         assert crypto.open_message(client_keypair.secret, env) == payload
 
     def test_signed_envelope_verifies(self, client_keypair, server_keypair):
-        env = crypto.seal_message(client_keypair.public, b"data",
-                                  signer=server_keypair.secret,
+        env = crypto.seal_message(binding_for(client_keypair.public),
+                                  b"data", signer=server_keypair.secret,
                                   session_key=os.urandom(16))
         assert crypto.verify(
             server_keypair.public, crypto.RESPONSE_TAG,
@@ -177,23 +182,29 @@ class TestHybrid:
 
     def test_supplied_session_key_used(self, client_keypair,
                                        server_keypair):
-        """A caller-supplied session key is wrapped as given; rng
+        """A caller-supplied session key is AES-KW-wrapped as given under
+        the binding key, whose wrap is the envelope's wrapped_key; rng
         supplies only the nonce."""
         session_key = bytes(range(16))
+        binding = binding_for(client_keypair.public)
         draws = []
 
         def rng(n):
             draws.append(n)
             return b"\x07" * n
 
-        env = crypto.seal_message(client_keypair.public, b"payload", rng,
+        env = crypto.seal_message(binding, b"payload", rng,
                                   signer=server_keypair.secret,
                                   session_key=session_key)
         assert draws == [wire.NONCE_LEN]
+        assert env.wrapped_key == binding.wrapped
         assert crypto.unwrap_key(client_keypair.secret,
-                                 env.wrapped_key) == session_key
+                                 env.wrapped_key) == binding.key
+        assert keywrap.aes_key_unwrap(
+            binding.key, env.ciphertext[:crypto.KW_LEN]) == session_key
         assert crypto.open_payload(session_key, env.nonce,
-                                   env.ciphertext) == b"payload"
+                                   env.ciphertext[crypto.KW_LEN:]) \
+            == b"payload"
 
     def test_oaep_capacity_is_318(self):
         assert crypto.OAEP_CAPACITY == 384 - 66 == 318
@@ -212,20 +223,22 @@ class TestHybrid:
     def test_no_session_key_nonce_reuse(self, client_keypair,
                                         server_keypair):
         """Instrumented generation: fresh (key, nonce) per envelope."""
+        binding = binding_for(client_keypair.public)
         seen = set()
         for _ in range(50):
-            env = crypto.seal_message(client_keypair.public, b"x",
+            env = crypto.seal_message(binding, b"x",
                                       signer=server_keypair.secret,
                                       session_key=os.urandom(16))
-            key = crypto.unwrap_key(client_keypair.secret, env.wrapped_key)
+            key = keywrap.aes_key_unwrap(binding.key,
+                                         env.ciphertext[:crypto.KW_LEN])
             assert (key, env.nonce) not in seen
             seen.add((key, env.nonce))
 
     def test_envelope_lengths_match_wire_invariants(self, client_keypair,
                                                     server_keypair):
-        env = crypto.seal_message(client_keypair.public, b"q" * 41,
-                                  signer=server_keypair.secret,
+        env = crypto.seal_message(binding_for(client_keypair.public),
+                                  b"q" * 41, signer=server_keypair.secret,
                                   session_key=os.urandom(16))
         assert len(env.wrapped_key) == wire.WRAPPED_KEY_LEN
         assert len(env.nonce) == wire.NONCE_LEN
-        assert len(env.ciphertext) == 41 + wire.GCM_TAG_LEN
+        assert len(env.ciphertext) == crypto.KW_LEN + 41 + wire.GCM_TAG_LEN

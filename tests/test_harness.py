@@ -183,9 +183,10 @@ class TestDepletion:
         honest = [o for o in report.outcomes if o.client >= 0]
         assert all(o.outcome == "success" for o in honest)
         # pool work is bounded by grants: delta_s plus the 16-byte
-        # session key per served request
+        # session key per served request, and the 16-byte binding key of
+        # each of the three identities' one binding
         assert report.pool_extracted_bits \
-            == report.counters["allowed"] * 8 * (32 + 16)
+            == report.counters["allowed"] * 8 * (32 + 16) + 3 * 8 * 16
 
     def test_unthrottled_flood_depletes_honest(self, fleet_keypairs):
         spec = ScenarioSpec(kind="depletion", flood_rate=200, duration_s=2,
@@ -384,13 +385,13 @@ REPO = Path(__file__).resolve().parents[1]
 @pytest.mark.parametrize("argv, digest", [
     (["-m", "eaas.harness", "run", "--scenario",
       "scripts/sample-scenario.conf", "--seed", "4"],
-     "a37d6a077c0f11b75fb5ead34606702aaeb24d0e939202a1206e5ea73ed8b7fa"),
+     "d6530857c083b0beb7f2590478e36184b9715d3c990798cd534eed2d9c82f1d1"),
     (["scripts/attack_matrix.py", "--seed", "1"],
      "955a2b995fd40ec4a870bf2a52efb8a90db8e88ec3fe22ebe0b668f578194ec8"),
     (["scripts/depletion_experiment.py", "--seed", "1"],
-     "04703f4eb6887a24a389f79cfb9e7de45d2f08f2e52605d801e4356fadc83596"),
+     "89fff206ce7eaa30e3d21b8ec546c70a785c4da95c2d1ae1b3525672442309ee"),
     (["scripts/entropy_quality.py", "--mib", "1", "--seed", "0"],
-     "8389457e4f7442ee0f6062a125c7eeafd90fd48c9676b25e2df3792634c324f6"),
+     "daaa370ebb41f16115189f489108b309de34cd37e8bcbfaf18b36adf8fd40618"),
 ], ids=["sample-scenario", "attack-matrix", "depletion", "entropy-quality"])
 def test_report_is_pinned(argv, digest):
     """Each shipped report, run with fresh keys, prints the same bytes:

@@ -1,23 +1,33 @@
-"""The request memos: sigma1 signed once per binding on the client, and
-the TA's bounded memo of the requests that checked out.
+"""The per-binding memos: sigma1 signed once per binding on the client,
+the TA's bounded memo of the requests that checked out with their
+binding keys, and the client's bounded memo of unwrapped binding keys.
 
 A request travels in the clear and repeats byte for byte per binding, so
 the TA decodes, loads and verifies it once per binding, and only after
-it checked out. The device's bill per request is pinned here too."""
+it checked out. A response's session key travels wrapped under its
+binding's key, which the device unwraps once. The device's bill per
+request is pinned here too."""
 
 from __future__ import annotations
 
+import hashlib
 import os
-from collections import Counter
+import sys
+import threading
+from collections import Counter, OrderedDict
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from cryptography.hazmat.primitives import keywrap
 
 from conftest import make_stack
 from eaas import client as client_mod
 from eaas import crypto, trusted, wire
+from eaas.errors import BadServerSignature, OpenFailure, UnwrapFailure
 from eaas.trusted import TaStatus
 from test_client import make_identity, ta_status
+from test_crypto import binding_for
 
 
 class Bill:
@@ -62,16 +72,22 @@ class Bill:
         return taken
 
 
-def round_trip(stack, identity, delta_s: int) -> tuple[int, int]:
-    """One verified round trip; returns (bytes sent, bytes received)."""
+def serve(stack, identity, delta_s: int) -> tuple[bytes, bytes, int]:
+    """One request of identity's served: (body, reply, t1)."""
     clock, _, _, service = stack
     body, t1 = client_mod.build_request(identity, delta_s, clock=clock.now)
     clock.advance(1)
     status, reply, _ = service.handle_entropy(body)
     assert status == 200, reply
+    return body, reply, t1
+
+
+def round_trip(stack, identity, delta_s: int) -> tuple[int, int]:
+    """One verified round trip; returns (bytes sent, bytes received)."""
+    body, reply, t1 = serve(stack, identity, delta_s)
     entropy = client_mod.verify_response(
         reply, t1=t1, delta_s=delta_s, server_public=identity.server_public,
-        secret_key=identity.keypair.secret, now=clock.now())
+        secret_key=identity.keypair.secret, now=stack[0].now())
     assert len(entropy) == delta_s
     return len(body), len(reply)
 
@@ -79,11 +95,12 @@ def round_trip(stack, identity, delta_s: int) -> tuple[int, int]:
 class TestDeviceBill:
     def test_device_bill_at_delta_s_32(self, monkeypatch, server_keypair,
                                        client_keypair, other_keypair):
-        """Per steady request the device makes one private op (the
-        unwrap) and one public op (the sigma2 verify), draws no
-        randomness, sends 852 bytes and receives 848. A new binding adds
-        one private op, the sigma1 sign, and nothing else. The TA makes
-        one sigma2 sign per request and never unwraps."""
+        """Per steady request the device makes no private op and one
+        public op (the sigma2 verify), draws no randomness, sends 852
+        bytes and receives 872. A new binding adds two private ops, the
+        sigma1 sign and the unwrap of its binding key. The TA makes
+        one sigma2 sign per request, and one sigma1 verify and one wrap
+        per new binding."""
         stack = make_stack(server_keypair, capacity=Fraction(10 ** 6))
         identity = make_identity(client_keypair, server_keypair)
         bill = Bill(monkeypatch, stack[2])
@@ -91,14 +108,12 @@ class TestDeviceBill:
         bill.take()
 
         for _ in range(10):
-            assert round_trip(stack, identity, 32) == (852, 848)
-        assert bill.take() == ({("client", "unwrap_key"): 10,
-                                ("client", "verify"): 10,
-                                ("ta", "sign"): 10,
-                                ("ta", "wrap_key"): 10}, 0)
+            assert round_trip(stack, identity, 32) == (852, 872)
+        assert bill.take() == ({("client", "verify"): 10,
+                                ("ta", "sign"): 10}, 0)
 
         identity.keypair = other_keypair                 # a new binding
-        assert round_trip(stack, identity, 32) == (852, 848)
+        assert round_trip(stack, identity, 32) == (852, 872)
         assert bill.take() == ({("client", "sign"): 1,
                                 ("client", "unwrap_key"): 1,
                                 ("client", "verify"): 1,
@@ -230,3 +245,159 @@ class TestTaVerifyMemo:
         assert len(verifies) == 1
         round_trip(stack, identity, 32)
         assert len(verifies) == 1
+
+
+def binding_key(ta, identity, delta_s: int) -> crypto.BindingKey:
+    """The binding key the TA's memo holds for identity's binding."""
+    body, _ = client_mod.build_request(identity, delta_s)
+    return ta._requests[hashlib.sha256(body).digest()][2]
+
+
+class TestBindingKey:
+    """Each response carries a fresh session key, AES-KW-wrapped under
+    its binding's key K_b; the envelope's wrapped_key is W, K_b wrapped
+    to the device once per binding."""
+
+    def test_binding_key_fixed_session_key_fresh(self, stack,
+                                                 server_keypair,
+                                                 client_keypair):
+        identity = make_identity(client_keypair, server_keypair)
+        envelopes = [wire.decode_envelope(serve(stack, identity, 32)[1])
+                     for _ in range(5)]
+        binding = binding_key(stack[2], identity, 32)
+        assert crypto.unwrap_key(client_keypair.secret,
+                                 binding.wrapped) == binding.key
+        assert {env.wrapped_key for env in envelopes} == {binding.wrapped}
+        session_keys = {keywrap.aes_key_unwrap(
+            binding.key, env.ciphertext[:crypto.KW_LEN]) for env in envelopes}
+        assert len(session_keys) == 5
+        assert binding.key not in session_keys
+
+    def test_new_binding_and_eviction_get_a_new_w(self, monkeypatch, stack,
+                                                  server_keypair,
+                                                  client_keypair):
+        monkeypatch.setattr(trusted, "_REQUEST_KEYS_MAX", 1)
+        identity = make_identity(client_keypair, server_keypair)
+
+        def w(delta_s):
+            return wire.decode_envelope(
+                serve(stack, identity, delta_s)[1]).wrapped_key
+
+        first = w(32)
+        assert w(32) == first
+        other = w(48)                   # a new binding, evicting the first
+        assert other != first
+        again = w(32)
+        assert again not in (first, other)
+
+
+class TestClientMemo:
+    """The device unwraps W once: crypto.open_message keeps each W it
+    unwrapped, for the secret key that unwrapped it, in a bounded memo."""
+
+    @pytest.fixture(autouse=True)
+    def memo(self, monkeypatch) -> OrderedDict:
+        memo = OrderedDict()
+        monkeypatch.setattr(crypto, "_binding_keys", memo)
+        return memo
+
+    @staticmethod
+    def verify(reply, t1, identity, stack, delta_s=32):
+        return client_mod.verify_response(
+            reply, t1=t1, delta_s=delta_s,
+            server_public=identity.server_public,
+            secret_key=identity.keypair.secret, now=stack[0].now())
+
+    def test_failed_sigma2_never_enters_memo(self, memo, stack,
+                                             server_keypair, client_keypair):
+        identity = make_identity(client_keypair, server_keypair)
+        _, reply, t1 = serve(stack, identity, 32)
+        env = wire.decode_envelope(reply)
+        forged = wire.encode_envelope(replace(
+            env, sigma2=bytes([env.sigma2[0] ^ 1]) + env.sigma2[1:]))
+        with pytest.raises(BadServerSignature):
+            self.verify(forged, t1, identity, stack)
+        assert not memo
+        assert len(self.verify(reply, t1, identity, stack)) == 32
+        assert list(memo) == [env.wrapped_key]
+
+    def test_memo_stays_within_its_bound(self, monkeypatch, memo,
+                                         server_keypair, client_keypair):
+        monkeypatch.setattr(crypto, "_BINDING_KEYS_MAX", 3)
+        envelopes = [crypto.seal_message(
+            binding_for(client_keypair.public), b"payload",
+            signer=server_keypair.secret, session_key=os.urandom(16))
+            for _ in range(5)]
+        for env in envelopes:
+            assert crypto.open_message(client_keypair.secret,
+                                       env) == b"payload"
+            assert len(memo) <= 3
+        assert list(memo) == [env.wrapped_key for env in envelopes[2:]]
+
+    def test_threads_share_the_memo_within_its_bound(
+            self, monkeypatch, memo, server_keypair, client_keypair):
+        """More threads than cores open envelopes of more Ws than the
+        bound, with a short switch interval: every open returns its
+        payload, and the memo ends within its bound."""
+        monkeypatch.setattr(crypto, "_BINDING_KEYS_MAX", 3)
+        envelopes = [crypto.seal_message(
+            binding_for(client_keypair.public), bytes([i]) * 8,
+            signer=server_keypair.secret, session_key=os.urandom(16))
+            for i in range(6)]
+        errors, opened = [], Counter()
+
+        def worker(offset):
+            try:
+                for i in range(24):
+                    k = (offset + i) % len(envelopes)
+                    assert crypto.open_message(
+                        client_keypair.secret, envelopes[k]) == bytes([k]) * 8
+                    opened[offset] += 1
+            except Exception as exc:        # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(n,))
+                       for n in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert opened == {n: 24 for n in range(4)}
+        assert len(memo) <= 3
+
+    def test_entry_serves_only_its_secret_key(self, memo, server_keypair,
+                                              client_keypair, other_keypair):
+        env = crypto.seal_message(
+            binding_for(client_keypair.public), b"payload",
+            signer=server_keypair.secret, session_key=os.urandom(16))
+        assert crypto.open_message(client_keypair.secret, env) == b"payload"
+        with pytest.raises(UnwrapFailure):
+            crypto.open_message(other_keypair.secret, env)
+        assert memo[env.wrapped_key][0] is client_keypair.secret
+
+    @pytest.mark.parametrize("ciphertext", [
+        lambda ct: bytes([ct[0] ^ 1]) + ct[1:],        # a wrong KW block
+        lambda ct: ct[:crypto.KW_LEN - 1],             # a short one
+    ], ids=["flipped", "short"])
+    def test_wrong_kw_block_is_open_failure(self, ciphertext, stack,
+                                            server_keypair, client_keypair):
+        """A sigma2-valid envelope whose KW block does not unwrap under
+        K_b fails as OpenFailure, never a cryptography exception."""
+        identity = make_identity(client_keypair, server_keypair)
+        _, reply, t1 = serve(stack, identity, 32)
+        env = wire.decode_envelope(reply)
+        ct = ciphertext(env.ciphertext)
+        resigned = wire.encode_envelope(replace(
+            env, ciphertext=ct, sigma2=crypto.sign(
+                server_keypair.secret, crypto.RESPONSE_TAG,
+                crypto.envelope_signing_bytes(env.wrapped_key, env.nonce,
+                                              ct))))
+        with pytest.raises(OpenFailure):
+            self.verify(resigned, t1, identity, stack)
