@@ -13,9 +13,8 @@ one RSA private op per binding, not per response.
 
 from __future__ import annotations
 
+import functools
 import os
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -234,43 +233,26 @@ def seal_message(binding: BindingKey, plaintext: bytes,
                           ciphertext=ciphertext, sigma2=sigma2)
 
 
-# Binding keys opened so far, by W: (the secret key object that
-# unwrapped W, K_b), least recently used first. It is module state
-# because open_message(secret, env) is the whole interface the SDK and
-# its callers use; an entry serves only its own secret key object. A
-# client holds about one W per (server, delta_s) it uses, so a few
-# entries serve it.
-_BINDING_KEYS_MAX = 32
-_binding_keys: OrderedDict[
-    bytes, tuple[rsa.RSAPrivateKey, bytes]] = OrderedDict()
-_binding_keys_lock = threading.Lock()
+@functools.lru_cache(maxsize=32)
+def _binding_key(secret: rsa.RSAPrivateKey, wrapped: bytes) -> bytes:
+    """K_b, unwrapped from W once per (secret key object, W). Private
+    key objects hash by identity, so an entry serves only the key object
+    that made it, and a failed unwrap raises and keeps nothing. It is
+    module state because open_message(secret, env) is the whole
+    interface the SDK uses; a client holds about one W per (server,
+    delta_s), so a few entries serve it. unwrap_key is looked up at each
+    call, so a wrapper set in its place sees every unwrap."""
+    return unwrap_key(secret, wrapped)
 
 
 def open_message(secret: rsa.RSAPrivateKey, env: SealedEnvelope) -> bytes:
     """Unwrap the binding key, unwrap the session key under it and open
     the payload. No signature check: verify_response checks sigma2
     first, so on its path only a W the server signed is unwrapped.
-
-    W is unwrapped once per secret key object: the result is kept in a
-    bounded memo, which serves an entry only to the key that made it.
-    A failed unwrap keeps nothing.
     """
-    with _binding_keys_lock:
-        entry = _binding_keys.get(env.wrapped_key)
-        if entry is not None and entry[0] is secret:
-            _binding_keys.move_to_end(env.wrapped_key)
-        else:
-            entry = None
-    if entry is None:
-        entry = (secret, unwrap_key(secret, env.wrapped_key))
-        with _binding_keys_lock:
-            _binding_keys[env.wrapped_key] = entry
-            _binding_keys.move_to_end(env.wrapped_key)
-            while len(_binding_keys) > _BINDING_KEYS_MAX:
-                _binding_keys.popitem(last=False)
     try:
-        session_key = keywrap.aes_key_unwrap(entry[1],
-                                             env.ciphertext[:KW_LEN])
+        session_key = keywrap.aes_key_unwrap(
+            _binding_key(secret, env.wrapped_key), env.ciphertext[:KW_LEN])
     except keywrap.InvalidUnwrap as exc:
         raise OpenFailure("session key unwrap failed") from exc
     return open_payload(session_key, env.nonce, env.ciphertext[KW_LEN:])

@@ -7,19 +7,21 @@ floor(bits * declared_density) bits of min-entropy, so credited_bits <=
 8 * len(buffer) always holds and the pool compresses entropy, never
 stretches it.
 
-Harvesting is the plain round-robin loop: each pass takes one block
-from each healthy source while its rate allowance lasts (a source that
-degrades gives none after that), and a pass that credits nothing
-raises. The blocks come from a read-ahead built for each harvest: a
-counts-only plan finds how many blocks each source gives in the passes
-that would reach the request if every block passed, and each count is
-pulled with one generator call and tested in one pass that gives every
-block its own verdict (``failing_blocks``; ``health_test`` is its
-one-block case). A source whose read-ahead runs out, which takes a
-failing block or a degrade, gets one block per pull. So the buffer holds
-the records of pulling, testing and crediting one block at a time. The
-one difference: read-ahead blocks are dropped unused when their source
-degrades, when a pass raises, or when the deadline passes.
+Harvesting is the plain round-robin loop: each pass takes one block from
+each healthy source while its rate allowance lasts (a source that
+degrades gives none after that), and a pass in which no source had a
+block to test raises. A failing block was tested, so one false alarm
+costs its source a block, not the harvest; enough failures in a row
+degrade the source. The blocks come from a read-ahead built for each
+harvest: a counts-only plan finds how many blocks each source gives in
+the passes that would reach the request if every block passed, and each
+count is pulled with one generator call and tested in one pass that
+gives every block its own verdict (``failing_blocks``; ``health_test``
+is its one-block case). A source whose read-ahead runs out, which takes
+a failing block or a degrade, gets one block per pull. So the buffer
+holds the records of pulling, testing and crediting one block at a time.
+The one difference: read-ahead blocks are dropped unused when their
+source degrades or when the deadline passes.
 
 Extraction is linear in the buffer and the output. The whole buffer is
 hashed once into G = SHA-256(OUT_TAG || buffer), so every output byte
@@ -271,10 +273,10 @@ class EntropyPool:
         Returns nothing; ``status()`` reports the resulting state.
 
         Each pass checks the deadline and takes one block from each
-        healthy source; a pass that credits nothing raises
-        EntropyDepleted, so the pool never waits for allowance. Blocks
-        come from the read-ahead the module docstring describes. Credit
-        earned before a raise is kept.
+        healthy source; a pass in which no source had a block to test
+        raises EntropyDepleted, so the pool never waits for allowance.
+        Blocks come from the read-ahead the module docstring describes.
+        Credit earned before a raise is kept.
         """
         with self._lock:
             start = self._clock()
@@ -293,16 +295,17 @@ class EntropyPool:
                         raise EntropyDepleted(
                             f"deadline after {deadline_ms} ms with "
                             f"{have}/{needed_bits} bits")
-                    before = have
+                    tested = False
                     for source, blocks in ahead:
                         block = next(blocks)
+                        tested |= block is not None
                         if block:
                             pieces.append(block)
                             gains.append(source.credit)
                             have += source.credit
                             if have >= needed_bits:
                                 break
-                    if have == before:
+                    if not tested:
                         raise EntropyDepleted(
                             f"sources exhausted with "
                             f"{have}/{needed_bits} bits")
@@ -312,7 +315,7 @@ class EntropyPool:
                     self.total_credited_bits += sum(gains)
 
     def _read_ahead(self, sources: list[_Source], short: int
-                    ) -> list[tuple[_Source, Iterator[bytes]]]:
+                    ) -> list[tuple[_Source, Iterator[bytes | None]]]:
         """Each source with its block stream: a first pull of the blocks
         (at least one) it gives, within its allowance, in the passes that
         would credit `short` bits if every block passed, stopping after a
@@ -332,18 +335,19 @@ class EntropyPool:
         return [(s, self._blocks(s, max(n, 1)))
                 for s, n in zip(sources, taken)]
 
-    def _blocks(self, source: _Source, count: int) -> Iterator[bytes]:
+    def _blocks(self, source: _Source, count: int) -> Iterator[bytes | None]:
         """source's blocks in stream order, `count` from the first pull
         and one from each later pull. A block that fails its health
-        test, and a pull that yields nothing, give b"". Each verdict
-        counts when its block is taken, a failing pull's when it is made;
-        once the source degrades it gives b"" for good."""
+        test, and a failing pull, give b""; a pull the allowance does not
+        cover gives None. Each verdict counts when its block is taken, a
+        failing pull's when it is made; once the source degrades it gives
+        None for good."""
         bb = self._block_bytes
         while source.health is HealthState.HEALTHY:
             chunk = self._pull(source, count)
             count = 1
             if not chunk:
-                yield b""
+                yield chunk
                 continue
             failed = failing_blocks(chunk, bb,
                                     monobit_sigmas=self._monobit_sigmas,
@@ -353,19 +357,20 @@ class EntropyPool:
                     source.consecutive_failures = 0
                     yield chunk[j * bb:(j + 1) * bb]
                     continue
-                if self._fail(source):
-                    break
+                degraded = self._fail(source)
                 yield b""
-        yield from repeat(b"")
+                if degraded:
+                    break
+        yield from repeat(None)
 
-    def _pull(self, source: _Source, blocks: int) -> bytes:
+    def _pull(self, source: _Source, blocks: int) -> bytes | None:
         """`blocks` blocks from one generator call, debited at once, if
-        the allowance covers them all. Returns b"" otherwise. A generator
-        that raises an Exception or returns the wrong length gives b"" too;
+        the allowance covers them all. Returns None otherwise. A generator
+        that raises an Exception or returns the wrong length gives b"";
         that pull debits nothing and counts as one failing block."""
         size = blocks * self._block_bytes
         if source.refill(self._clock()) < size * source.unit:
-            return b""
+            return None
         try:
             chunk = source.generator(size)
             whole = len(chunk) == size

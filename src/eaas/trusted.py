@@ -33,8 +33,6 @@ import threading
 from collections import OrderedDict
 from pathlib import Path
 
-from cryptography.hazmat.primitives.asymmetric import rsa
-
 from . import crypto, wire
 from .errors import (
     BadSignature,
@@ -67,10 +65,10 @@ class TaStatus(enum.IntEnum):
 
 
 # Most requests the TA keeps as checked, by the SHA-256 of their
-# payload (hint and request). An entry holds the loaded client key,
-# delta_s and the binding key with its wrap. Filling the memo (one
-# client key, delta_s 1 to 1,024) grew RSS by 3.2 MiB on CPython 3.11,
-# against 2.7 MiB measured the same way without the binding key.
+# payload (hint and request). An entry holds delta_s and the binding key
+# with its wrap; the client key is dropped once it has made the wrap.
+# Filling a new TA's memo (one client key, delta_s 1 to 1,024) grew RSS
+# by 1.7 MiB on CPython 3.11, against 4.1 MiB when entries kept the key.
 _REQUEST_KEYS_MAX = 1024
 
 
@@ -103,11 +101,11 @@ class TrustedApplication:
         self._max_delta_s = max_delta_s
         self._harvest_deadline_ms = harvest_deadline_ms
         self._lock = threading.Lock()
-        # SHA-256 of a payload that checked out -> (client key,
-        # delta_s, binding key once the first response drew it), least
-        # recently served first; see _handle_request.
-        self._requests: OrderedDict[bytes, tuple[
-            rsa.RSAPublicKey, int, crypto.BindingKey | None]] = OrderedDict()
+        # SHA-256 of a payload whose first response was drawn ->
+        # (delta_s, binding key), least recently served first; see
+        # _handle_request.
+        self._requests: OrderedDict[
+            bytes, tuple[int, crypto.BindingKey]] = OrderedDict()
 
     def ta_invoke(self, command: bytes) -> bytes:
         """Dispatch one serialized command; at most one runs at a time."""
@@ -150,12 +148,12 @@ class TrustedApplication:
     def _handle_request(self, payload: bytes) -> bytes:
         # The request (pk, delta_s, sigma1) is a static binding, so a
         # client sends the same payload for every request of one
-        # binding. A payload equal to one that checked out is not
-        # decoded, loaded or verified again; any other takes the full
-        # path, and only one that passes all of it takes (or refreshes)
-        # a slot. A sender can at worst evict entries, which costs their
-        # owners one key load and one verify each, and one unwrap on the
-        # device for the new binding key.
+        # binding. A payload equal to one in the memo is not decoded,
+        # loaded or verified again. Any other takes the full path, and
+        # enters the memo once it has passed all of it and its first
+        # response is drawn. A sender can at worst evict entries, which
+        # costs their owners one key load and one verify each, and one
+        # unwrap on the device for the new binding key.
         digest = hashlib.sha256(payload).digest()
         known = self._requests.get(digest)
         if known is None:
@@ -165,31 +163,35 @@ class TrustedApplication:
             if wire.fingerprint(request.client_pub_key) != hint:
                 raise HintMismatch("hint does not match signed public key")
             client_pub = crypto.load_public_key(request.client_pub_key)
+            # One key, one encoding: the hint, and with it the throttle
+            # bucket and the memo entry, names the key's own DER.
+            if crypto.public_key_der(client_pub) != request.client_pub_key:
+                raise MalformedMessage("public key is not in DER form")
             if not crypto.verify(
                     client_pub, crypto.REQUEST_TAG,
                     crypto.request_signing_bytes(request.client_pub_key,
                                                  request.delta_s),
                     request.sigma1):
                 raise BadSignature("sigma1 does not verify")
-            known = (client_pub, request.delta_s, None)
-        self._requests[digest] = known
-        self._requests.move_to_end(digest)
-        if len(self._requests) > _REQUEST_KEYS_MAX:
-            self._requests.popitem(last=False)
-        client_pub, delta_s, binding = known
+            delta_s = request.delta_s
+        else:
+            delta_s, binding = known
 
         # One extraction, split: the requested entropy, a fresh session
         # key for this response and, for a binding's first response, the
         # binding key that wraps each session key of the binding.
-        n = delta_s + crypto.SESSION_KEY_LEN * (2 if binding is None else 1)
+        n = delta_s + crypto.SESSION_KEY_LEN * (2 if known is None else 1)
         self._pool.harvest(8 * n, self._harvest_deadline_ms)
         out = self._pool.extract(n)
         entropy = out[:delta_s]
         session_key = out[delta_s:delta_s + crypto.SESSION_KEY_LEN]
-        if binding is None:
+        if known is None:
             key = out[delta_s + crypto.SESSION_KEY_LEN:]
             binding = crypto.BindingKey(key, crypto.wrap_key(client_pub, key))
-            self._requests[digest] = (client_pub, delta_s, binding)
+            self._requests[digest] = (delta_s, binding)
+        self._requests.move_to_end(digest)
+        if len(self._requests) > _REQUEST_KEYS_MAX:
+            self._requests.popitem(last=False)
 
         t2 = self._clock()
         payload_bytes = wire.encode_response_payload(

@@ -75,11 +75,11 @@ class EntropyRequest:
 
 @dataclass(frozen=True)
 class SealedEnvelope:
-    """Hybrid ciphertext: wrapped session key plus authenticated payload."""
+    """Hybrid ciphertext: W, the wrapped session key, the sealed payload."""
 
-    wrapped_key: bytes      # 384 bytes, session key under recipient pk
+    wrapped_key: bytes      # 384 bytes, W: binding key under recipient pk
     nonce: bytes            # 12 bytes
-    ciphertext: bytes       # AES-GCM output, includes the 16-byte tag
+    ciphertext: bytes       # AES-KW of the session key, then AES-GCM output
     sigma2: bytes | None = None   # present on server-to-client messages
 
 

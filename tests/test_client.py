@@ -700,8 +700,8 @@ def test_one_http_path():
 def test_one_seal_path():
     """Only the TA seals, and only crypto.open_message unwraps: the
     client calls none of wrap_key, seal_payload or seal_message, the
-    package calls seal_message only from trusted.py, and unwrap_key only
-    from crypto.open_message."""
+    package calls seal_message only from trusted.py, unwrap_key only
+    from crypto._binding_key, and that only from crypto.open_message."""
     import ast
 
     def calls(node, where):
@@ -715,7 +715,8 @@ def test_one_seal_path():
                 yield where, getattr(func, "id", getattr(func, "attr", None))
             yield from calls(child, where)
 
-    sealing = {"wrap_key", "seal_payload", "seal_message", "unwrap_key"}
+    sealing = {"wrap_key", "seal_payload", "seal_message", "unwrap_key",
+               "_binding_key"}
     found = {(path.stem, where, name)
              for path in Path(client_mod.__file__).parent.glob("*.py")
              for where, name in calls(ast.parse(path.read_text()), None)
@@ -723,6 +724,8 @@ def test_one_seal_path():
     assert not {c for c in found if c[0] == "client"}
     assert {c[0] for c in found if c[2] == "seal_message"} == {"trusted"}
     assert {c[:2] for c in found if c[2] == "unwrap_key"} == {
+        ("crypto", "_binding_key")}
+    assert {c[:2] for c in found if c[2] == "_binding_key"} == {
         ("crypto", "open_message")}
 
 

@@ -477,50 +477,50 @@ def reference_health_test(block, *, monobit_sigmas=4.0, max_repeat=20):
 
 def reference_harvest(pool, needed_bits, deadline_ms):
     """Round-robin harvest with one generator call, one allowance debit
-    and one health test per block, on ``pool``'s own state. When a pass
-    credits nothing, the EntropyDepleted it raises carries whether that
-    pass pulled a block as its second argument."""
+    and one health test per block, on ``pool``'s own state. A pass in
+    which no source pulled a block to test raises, so a harvest whose
+    sources all degrade raises EntropyDepleted, and the next NoSources."""
     start = pool._clock()
+    if pool._credited_bits >= needed_bits:
+        return
+    sources = [s for s in pool._sources.values()
+               if s.health is HealthState.HEALTHY]
+    if not sources:
+        raise NoSources("no healthy entropy source registered")
     while pool._credited_bits < needed_bits:
-        healthy = [s for s in pool._sources.values()
-                   if s.health is HealthState.HEALTHY]
-        if not healthy:
-            raise NoSources("no healthy entropy source registered")
         if pool._clock() - start > deadline_ms:
             raise EntropyDepleted("deadline")
-        progress = pulled = 0
-        for source in healthy:
-            credit, block = reference_pull_block(pool, source)
-            progress += credit
-            pulled += block
-            if pool._credited_bits >= needed_bits:
-                break
-        if progress == 0:
-            raise EntropyDepleted("sources exhausted", bool(pulled))
+        pulled = False
+        for source in sources:
+            if source.health is HealthState.HEALTHY:
+                pulled |= reference_pull_block(pool, source)
+                if pool._credited_bits >= needed_bits:
+                    break
+        if not pulled:
+            raise EntropyDepleted("sources exhausted")
 
 
 def reference_pull_block(pool, source):
-    """(bits credited, whether a block was pulled)."""
+    """Whether a block was pulled and tested."""
     source.refill(pool._clock())
     cost = pool._block_bytes * source.unit
     if source.allowance < cost:
-        return 0, False
+        return False
     block = source.generator(pool._block_bytes)
-    if len(block) != pool._block_bytes:
-        return 0, False
+    assert len(block) == pool._block_bytes
     source.allowance -= cost
     if not reference_health_test(block, monobit_sigmas=pool._monobit_sigmas,
                                  max_repeat=pool._max_repeat):
         source.consecutive_failures += 1
         if source.consecutive_failures >= pool._degrade_after:
             source.health = HealthState.DEGRADED
-        return 0, True
+        return True
     source.consecutive_failures = 0
     credit = (len(block) * 8 * source.density.numerator
               // source.density.denominator)
     pool._append(block, credit)
     pool.total_credited_bits += credit
-    return credit, True
+    return True
 
 
 # 32-byte tape segments that fail a 64-byte block: a stuck run, or a
@@ -598,10 +598,9 @@ class TestStreamedHarvest:
     def test_matches_one_block_per_pull_reference(self, shapes, ops, seed,
                                                   block_bytes,
                                                   degrade_after):
-        """Same buffer, records, credit, health, failure streaks and
-        exception as the reference, op for op. Only where a pass raises
-        after every block in it failed may blocks the round pulled for
-        later passes go missing, so that ends the run."""
+        """Same buffer, records, credit, health, failure streaks,
+        exception, allowance and stream position as the reference, op
+        for op."""
         clock = SimClock()
         pool, ref = (EntropyPool(clock.now, block_bytes=block_bytes,
                                  degrade_after=degrade_after)
@@ -624,14 +623,12 @@ class TestStreamedHarvest:
                         pool.harvest(arg, deadline)
                     else:
                         reference_harvest(ref, arg, deadline)
-                    outcomes.append((None, False))
+                    outcomes.append(None)
                 except (EntropyDepleted, NoSources,
                         InsufficientCredit) as exc:
-                    outcomes.append((type(exc), exc.args[1:] == (True,)))
-            assert outcomes[0][0] == outcomes[1][0]
+                    outcomes.append(type(exc))
+            assert outcomes[0] == outcomes[1]
             assert pool_view(pool) == pool_view(ref)
-            if outcomes[1][1]:
-                return
             assert stream_view(pool) == stream_view(ref)
 
     @settings(max_examples=100, deadline=None)
@@ -681,11 +678,8 @@ class TestStreamedHarvest:
                       if s.health is HealthState.HEALTHY}
             try:
                 pool.harvest(arg, deadline)
-                depleted = False
-            except NoSources:
-                depleted = False
-            except EntropyDepleted:
-                depleted = True
+            except (NoSources, EntropyDepleted):
+                pass
             for sid, tape in tapes.items():
                 for j in range(before.get(sid, (0, 0))[1], tape.pos // 64):
                     where.setdefault(tape_block(tape, j), (sid, j))
@@ -705,9 +699,7 @@ class TestStreamedHarvest:
                 assert credited[sid] == sorted(set(credited[sid]))
                 source = pool._sources[sid]
                 assert source.allowance >= 0
-                if depleted or sid not in before:
-                    # A pass that raised may have left blocks of later
-                    # passes pulled and untested.
+                if sid not in before:
                     continue
                 streak, start = before[sid]
                 degraded_at = None

@@ -14,7 +14,7 @@ import hashlib
 import os
 import sys
 import threading
-from collections import Counter, OrderedDict
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -24,7 +24,12 @@ from cryptography.hazmat.primitives import keywrap
 from conftest import make_stack
 from eaas import client as client_mod
 from eaas import crypto, trusted, wire
-from eaas.errors import BadServerSignature, OpenFailure, UnwrapFailure
+from eaas.errors import (
+    BadServerSignature,
+    EntropyDepleted,
+    OpenFailure,
+    UnwrapFailure,
+)
 from eaas.trusted import TaStatus
 from test_client import make_identity, ta_status
 from test_crypto import binding_for
@@ -197,6 +202,18 @@ class TestTaMemo:
         assert len(decodes) == mark + 1
         assert len(ta._requests) <= 4
 
+    def test_entries_hold_no_client_key(self, ta, server_keypair,
+                                        client_keypair):
+        """An entry is (delta_s, binding key): the client key is used
+        once, to wrap K_b, and not kept."""
+        identity = make_identity(client_keypair, server_keypair)
+        for delta_s in (32, 48):
+            body, _ = client_mod.build_request(identity, delta_s)
+            assert ta_status(ta, body) is TaStatus.OK
+        assert [tuple(map(type, entry)) for entry in ta._requests.values()
+                ] == [(int, crypto.BindingKey)] * 2
+        assert [entry[0] for entry in ta._requests.values()] == [32, 48]
+
 
 class TestTaVerifyMemo:
     """The TA verifies sigma1 once per binding: a payload equal byte for
@@ -246,11 +263,37 @@ class TestTaVerifyMemo:
         round_trip(stack, identity, 32)
         assert len(verifies) == 1
 
+    def test_depleted_first_response_leaves_no_entry(self, monkeypatch,
+                                                     server_keypair,
+                                                     client_keypair):
+        """A binding enters the memo with its first response drawn: one
+        the pool cannot serve leaves no entry, so the next request of
+        the binding is verified again, and then served."""
+        _, pool, ta, _ = stack = make_stack(server_keypair,
+                                            capacity=Fraction(10 ** 6))
+        identity = make_identity(client_keypair, server_keypair)
+        body, _ = client_mod.build_request(identity, 32)
+        verifies = self.count_sigma1_verifies(monkeypatch)
+
+        def depleted(needed_bits, deadline_ms):
+            raise EntropyDepleted("no source has a block")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(pool, "harvest", depleted)
+            assert ta_status(ta, body) is TaStatus.ENTROPY_DEPLETED
+        assert len(verifies) == 1
+        assert not ta._requests
+        round_trip(stack, identity, 32)
+        assert len(verifies) == 2
+        assert len(ta._requests) == 1
+        round_trip(stack, identity, 32)
+        assert len(verifies) == 2
+
 
 def binding_key(ta, identity, delta_s: int) -> crypto.BindingKey:
     """The binding key the TA's memo holds for identity's binding."""
     body, _ = client_mod.build_request(identity, delta_s)
-    return ta._requests[hashlib.sha256(body).digest()][2]
+    return ta._requests[hashlib.sha256(body).digest()][1]
 
 
 class TestBindingKey:
@@ -292,14 +335,14 @@ class TestBindingKey:
 
 
 class TestClientMemo:
-    """The device unwraps W once: crypto.open_message keeps each W it
-    unwrapped, for the secret key that unwrapped it, in a bounded memo."""
+    """The device unwraps W once: crypto.open_message takes K_b from
+    crypto._binding_key, an lru_cache keyed on (secret key object, W)."""
 
     @pytest.fixture(autouse=True)
-    def memo(self, monkeypatch) -> OrderedDict:
-        memo = OrderedDict()
-        monkeypatch.setattr(crypto, "_binding_keys", memo)
-        return memo
+    def memo(self):
+        crypto._binding_key.cache_clear()
+        yield crypto._binding_key
+        crypto._binding_key.cache_clear()
 
     @staticmethod
     def verify(reply, t1, identity, stack, delta_s=32):
@@ -317,39 +360,48 @@ class TestClientMemo:
             env, sigma2=bytes([env.sigma2[0] ^ 1]) + env.sigma2[1:]))
         with pytest.raises(BadServerSignature):
             self.verify(forged, t1, identity, stack)
-        assert not memo
-        assert len(self.verify(reply, t1, identity, stack)) == 32
-        assert list(memo) == [env.wrapped_key]
+        assert memo.cache_info().misses == memo.cache_info().currsize == 0
+        for _ in range(2):
+            assert len(self.verify(reply, t1, identity, stack)) == 32
+        assert memo.cache_info()[:2] == (1, 1)          # hits, misses
 
-    def test_memo_stays_within_its_bound(self, monkeypatch, memo,
-                                         server_keypair, client_keypair):
-        monkeypatch.setattr(crypto, "_BINDING_KEYS_MAX", 3)
-        envelopes = [crypto.seal_message(
-            binding_for(client_keypair.public), b"payload",
-            signer=server_keypair.secret, session_key=os.urandom(16))
-            for _ in range(5)]
-        for env in envelopes:
-            assert crypto.open_message(client_keypair.secret,
-                                       env) == b"payload"
-            assert len(memo) <= 3
-        assert list(memo) == [env.wrapped_key for env in envelopes[2:]]
+    def test_memo_stays_within_its_bound(self, memo, stack, server_keypair,
+                                         client_keypair):
+        """33 bindings of one identity fill the memo past its bound:
+        it holds 32 of them, and the first, evicted, is unwrapped
+        again."""
+        identity = make_identity(client_keypair, server_keypair)
+        maxsize = memo.cache_info().maxsize
+        assert maxsize == 32
+        replies = [serve(stack, identity, delta_s)[1:]
+                   for delta_s in range(1, maxsize + 2)]
+        for delta_s, (reply, t1) in enumerate(replies, 1):
+            assert len(self.verify(reply, t1, identity, stack,
+                                   delta_s)) == delta_s
+        assert memo.cache_info().currsize == maxsize
+        assert memo.cache_info().misses == maxsize + 1
+        self.verify(*replies[-1], identity, stack, maxsize + 1)
+        assert memo.cache_info().misses == maxsize + 1
+        self.verify(*replies[0], identity, stack, 1)
+        assert memo.cache_info().misses == maxsize + 2
+        assert memo.cache_info().currsize == maxsize
 
     def test_threads_share_the_memo_within_its_bound(
-            self, monkeypatch, memo, server_keypair, client_keypair):
+            self, memo, server_keypair, client_keypair):
         """More threads than cores open envelopes of more Ws than the
         bound, with a short switch interval: every open returns its
         payload, and the memo ends within its bound."""
-        monkeypatch.setattr(crypto, "_BINDING_KEYS_MAX", 3)
+        maxsize = memo.cache_info().maxsize
         envelopes = [crypto.seal_message(
             binding_for(client_keypair.public), bytes([i]) * 8,
             signer=server_keypair.secret, session_key=os.urandom(16))
-            for i in range(6)]
+            for i in range(maxsize + 8)]
         errors, opened = [], Counter()
 
         def worker(offset):
             try:
                 for i in range(24):
-                    k = (offset + i) % len(envelopes)
+                    k = (offset * 10 + i) % len(envelopes)
                     assert crypto.open_message(
                         client_keypair.secret, envelopes[k]) == bytes([k]) * 8
                     opened[offset] += 1
@@ -370,17 +422,24 @@ class TestClientMemo:
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
         assert opened == {n: 24 for n in range(4)}
-        assert len(memo) <= 3
+        assert memo.cache_info().currsize == maxsize
 
     def test_entry_serves_only_its_secret_key(self, memo, server_keypair,
                                               client_keypair, other_keypair):
+        """An entry serves only the key object that unwrapped it: the
+        same key loaded again unwraps W again, and a wrong key's failed
+        unwrap is never kept."""
         env = crypto.seal_message(
             binding_for(client_keypair.public), b"payload",
             signer=server_keypair.secret, session_key=os.urandom(16))
         assert crypto.open_message(client_keypair.secret, env) == b"payload"
-        with pytest.raises(UnwrapFailure):
-            crypto.open_message(other_keypair.secret, env)
-        assert memo[env.wrapped_key][0] is client_keypair.secret
+        for _ in range(2):
+            with pytest.raises(UnwrapFailure):
+                crypto.open_message(other_keypair.secret, env)
+        assert memo.cache_info()[1:4] == (3, 32, 1)  # misses, max, size
+        same = crypto.load_private_key(crypto.private_key_der(client_keypair))
+        assert crypto.open_message(same.secret, env) == b"payload"
+        assert memo.cache_info()[:4] == (0, 4, 32, 2)
 
     @pytest.mark.parametrize("ciphertext", [
         lambda ct: bytes([ct[0] ^ 1]) + ct[1:],        # a wrong KW block

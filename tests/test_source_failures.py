@@ -5,6 +5,7 @@ serving from the others."""
 from __future__ import annotations
 
 import os
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -54,16 +55,44 @@ def test_failing_source_degrades_beside_a_good_one(failing):
     assert health == {"s0": HealthState.HEALTHY, "s1": HealthState.DEGRADED}
 
 
+def counted(generator, calls: list):
+    def pull(n: int) -> bytes:
+        calls.append(n)
+        return generator(n)
+    return pull
+
+
 @pytest.mark.parametrize("failing", [unplugged, short])
 def test_lone_failing_source_depletes_then_degrades(failing):
-    """Each harvest fails typed; the third failing pull degrades it."""
-    pool = pool_with(failing)
-    for _ in range(3):
-        with pytest.raises(EntropyDepleted):
-            pool.harvest(512, 2000)
+    """The first harvest makes three failing pulls, the third of which
+    degrades the source, and fails typed; the next finds no source."""
+    calls = []
+    pool = pool_with(counted(failing, calls))
+    with pytest.raises(EntropyDepleted):
+        pool.harvest(512, 2000)
+    assert calls == [64, 64, 64]
     assert pool.status().per_source_health["s0"] is HealthState.DEGRADED
     with pytest.raises(NoSources):
         pool.harvest(512, 2000)
+    assert len(calls) == 3
+
+
+def test_lone_source_whose_first_block_fails_fills_the_harvest():
+    """One failing block, the only one its pass tests, is one verdict
+    against the source, not a failed harvest: the next pass pulls a
+    block in its place."""
+    calls, tape = [], random.Random(5).randbytes
+
+    def first_block_stuck(n: int) -> bytes:
+        calls.append(n)
+        data = tape(n)
+        return bytes(64) + data[64:] if len(calls) == 1 else data
+
+    pool = pool_with(first_block_stuck)
+    pool.harvest(8 * 4096, 2000)
+    assert pool.credited_bits == 8 * 4096
+    assert calls == [4096, 64]
+    assert pool.status().per_source_health["s0"] is HealthState.HEALTHY
 
 
 def test_base_exception_is_not_a_failing_pull():

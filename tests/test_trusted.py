@@ -7,6 +7,7 @@ import os
 from fractions import Fraction
 
 import pytest
+from cryptography.hazmat.primitives import serialization
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -77,6 +78,12 @@ class TestDispatch:
         assert reply == bytes([TaStatus.MALFORMED])
 
 
+def one_line_pem(pem: bytes) -> bytes:
+    """pem with its base64 body on one line."""
+    head, *body, tail, _ = pem.split(b"\n")
+    return b"\n".join([head, b"".join(body), tail, b""])
+
+
 class TestHandleRequest:
     def test_happy_path(self, server_keypair, client_keypair):
         ta, clock = make_ta(server_keypair)
@@ -142,6 +149,35 @@ class TestHandleRequest:
         ta._max_delta_s = 64   # tighten after the fact for the test
         reply = ta.ta_invoke(encode_command(TaCommand.HANDLE_REQUEST, body))
         assert reply == bytes([TaStatus.FIELD_OUT_OF_RANGE])
+
+    @pytest.mark.parametrize("encode", [
+        lambda pem: pem,
+        lambda pem: pem.replace(b"\n", b"\r\n"),
+        one_line_pem,
+        lambda pem: b"junk\n" + pem,
+        lambda pem: pem + b"junk\n",
+    ], ids=["pem", "crlf-pem", "one-line-pem", "junk-then-pem",
+            "pem-then-junk"])
+    def test_key_in_another_encoding_is_refused(self, encode, server_keypair,
+                                                client_keypair):
+        """The TA loads a request's key from its DER form alone: the
+        same key in another encoding, whose hint would name a throttle
+        bucket and memo entry of its own, is refused and never served."""
+        clock, _, ta, service = make_stack(server_keypair,
+                                           capacity=Fraction(10 ** 6))
+        pub = encode(client_keypair.public.public_bytes(
+            serialization.Encoding.PEM,
+            serialization.PublicFormat.SubjectPublicKeyInfo))
+        assert crypto.load_public_key(pub).public_numbers() == \
+            client_keypair.public.public_numbers()
+        sigma1 = crypto.sign(client_keypair.secret, crypto.REQUEST_TAG,
+                             crypto.request_signing_bytes(pub, 32))
+        body = wire.fingerprint(pub) + wire.encode_request(
+            wire.EntropyRequest(client_pub_key=pub, delta_s=32,
+                                sigma1=sigma1))
+        for _ in range(2):
+            assert service.handle_entropy(body)[:2] == (400, b"malformed")
+        assert not ta._requests
 
     def test_depleted_pool_no_envelope(self, server_keypair,
                                        client_keypair):
