@@ -16,10 +16,12 @@ AES-KW unwrap and a GCM open, and no RSA private op.
 from __future__ import annotations
 
 import argparse
+import atexit
 import http.client
 import logging
 import math
 import os
+import socket
 import sys
 import threading
 import time
@@ -190,14 +192,22 @@ def verify_response(envelope_bytes: bytes, *, t1: int, delta_s: int,
     return response.entropy
 
 
-# The one idle kept-alive connection: (host, port) and the connection to
-# the server address last used, or None. A caller takes it out of the
-# slot, so a concurrent caller opens a connection of its own.
-_idle: tuple[tuple[str, int], http.client.HTTPConnection] | None = None
+# Bounds on a reply's head; the server's own heads are under 200 bytes,
+# with at most 5 header lines.
+_MAX_LINE = 4096        # bytes in the status line or one header line
+_MAX_HEADERS = 32
+# A body is read this much at a time, so memory follows the bytes that
+# arrive, not the length a peer claims.
+_READ_CHUNK = 1 << 20
+
+# The one idle kept-alive connection: (host, port) and the socket to the
+# server address last used, or None. A caller takes it out of the slot,
+# so a concurrent caller opens a connection of its own.
+_idle: tuple[tuple[str, int], socket.socket] | None = None
 _idle_lock = threading.Lock()
 
 
-def _take_idle(address: tuple[str, int]) -> http.client.HTTPConnection | None:
+def _take_idle(address: tuple[str, int]) -> socket.socket | None:
     """The idle connection if it goes to address; one to another server
     is closed."""
     global _idle
@@ -210,65 +220,144 @@ def _take_idle(address: tuple[str, int]) -> http.client.HTTPConnection | None:
     return None
 
 
-def _put_idle(address: tuple[str, int],
-              conn: http.client.HTTPConnection) -> None:
-    """Keep conn as the idle connection, closing the one it replaces."""
+def _keep_idle(entry: tuple[tuple[str, int], socket.socket] | None) -> None:
+    """Make entry the idle connection, closing the one it replaces."""
     global _idle
     with _idle_lock:
-        old, _idle = _idle, (address, conn)
+        old, _idle = _idle, entry
     if old is not None:
         old[1].close()
+
+
+def close() -> None:
+    """Close the idle kept-alive connection, if there is one. It is
+    registered with atexit; a later fetch opens a new connection."""
+    _keep_idle(None)
+
+
+atexit.register(close)
+
+
+def _read_head(rfile) -> tuple[int, dict, int, bool]:
+    """(status, headers, Content-Length, whether the connection stays
+    open) of the reply head at rfile. A head over the bounds above, or
+    one whose body is not framed by a Content-Length of at most
+    wire.MAX_REPLY_LEN, raises an http.client.HTTPException."""
+    line = rfile.readline(_MAX_LINE + 1)
+    if not line:
+        raise http.client.RemoteDisconnected(
+            "Remote end closed connection without response")
+    if len(line) > _MAX_LINE:
+        raise http.client.LineTooLong("status line")
+    version, code, *_ = line.decode("iso-8859-1").split(None, 2) + ["", ""]
+    if not (version.startswith("HTTP/") and len(code) == 3
+            and code.isascii() and code.isdigit() and code[0] != "0"):
+        raise http.client.BadStatusLine(line.decode("iso-8859-1"))
+    headers, fields = {}, {}    # fields: by lower-case name
+    for _ in range(_MAX_HEADERS + 1):
+        line = rfile.readline(_MAX_LINE + 1)
+        if len(line) > _MAX_LINE:
+            raise http.client.LineTooLong("header line")
+        if line in (b"\r\n", b"\n", b""):
+            break
+        name, colon, value = line.decode("iso-8859-1").partition(":")
+        if not colon:
+            raise http.client.HTTPException(
+                f"header line without a colon: {line[:64]!r}")
+        key, value = name.lower(), value.strip()
+        if key == "content-length" and fields.get(key, value) != value:
+            raise http.client.HTTPException("two Content-Length values")
+        headers.setdefault(name, value)
+        fields.setdefault(key, value)
+    else:
+        raise http.client.HTTPException(
+            f"more than {_MAX_HEADERS} header lines")
+    if "transfer-encoding" in fields:
+        raise http.client.HTTPException("Transfer-Encoding is not supported")
+    length = fields.get("content-length", "")
+    # At most _MAX_LINE digits, within what int() reads.
+    if not (length.isascii() and length.isdigit()
+            and int(length) <= wire.MAX_REPLY_LEN):
+        raise http.client.HTTPException(
+            f"Content-Length {length[:32]!r} is not a length up to "
+            f"{wire.MAX_REPLY_LEN}")
+    keep = (version == "HTTP/1.1"
+            and "close" not in fields.get("connection", "").lower())
+    return int(code), headers, int(length), keep
+
+
+def _read_body(rfile, length: int) -> bytes:
+    """Exactly length bytes from rfile; fewer raise IncompleteRead."""
+    parts, left = [], length
+    while left:
+        part = rfile.read(min(left, _READ_CHUNK))
+        if not part:
+            raise http.client.IncompleteRead(b"".join(parts), left)
+        parts.append(part)
+        left -= len(part)
+    return b"".join(parts)
 
 
 def _exchange(method: str, url: str, body: bytes | None,
               timeout: float) -> tuple[int, bytes, dict]:
     """(status, reply, headers) of one HTTP/1.1 exchange, for any status.
 
-    It goes out on the idle connection if that one leads to url's
-    server, else on a new one, and the connection is kept idle after a
-    reply read in full that does not close it. A kept connection that
-    the server closed while idle fails before any status line arrives;
-    then, and only then, the request goes once more on a new connection.
-    Any other failure, or a url that is not http://, raises
-    TransportError.
+    The request line, Host, and with a body Content-Type and
+    Content-Length go out with the body in one write: on the idle
+    connection if that one leads to url's server, else on a new one. The
+    reply is read as _read_head and _read_body frame it, and the
+    connection is kept idle after a reply read in full that does not
+    close it. A kept connection that the server closed while idle fails
+    before any status line arrives; then, and only then, the request
+    goes once more on a new connection. Any other failure, or a url that
+    is not a well-formed http:// URL, raises TransportError.
     """
-    parts = urllib.parse.urlsplit(url)
     try:
+        parts = urllib.parse.urlsplit(url)
         if parts.scheme != "http" or not parts.hostname:
             raise ValueError("only http:// URLs are supported")
         address = (parts.hostname, parts.port or 80)
+        target = parts.path or "/"
+        if parts.query:
+            target += "?" + parts.query
+        host = parts.netloc.rpartition("@")[2]
+        if not (host + target).isprintable() or " " in host + target:
+            raise ValueError("a space or control character in the URL")
+        head = f"{method} {target} HTTP/1.1\r\nHost: {host}\r\n"
+        if body is not None:
+            head += (f"Content-Type: application/octet-stream\r\n"
+                     f"Content-Length: {len(body)}\r\n")
+        request = (head + "\r\n").encode("ascii") + (body or b"")
     except ValueError as exc:
         raise TransportError(f"{method} {url}: {exc}") from exc
-    target = parts.path or "/"
-    if parts.query:
-        target += "?" + parts.query
-    headers = {} if body is None else {"Content-Type":
-                                       "application/octet-stream"}
     conn = _take_idle(address)
+    reused = conn is not None
     while True:
-        reused = conn is not None
-        if conn is None:
-            conn = http.client.HTTPConnection(*address, timeout=timeout)
-        else:
-            conn.sock.settimeout(timeout)
-        resp = None
+        status = None
         try:
-            conn.request(method, target, body=body, headers=headers)
-            resp = conn.getresponse()
-            reply = resp.read()
+            if conn is None:
+                conn = socket.create_connection(address, timeout)
+                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            else:
+                conn.settimeout(timeout)
+            conn.sendall(request)
+            with conn.makefile("rb") as rfile:
+                status, headers, length, keep = _read_head(rfile)
+                reply = _read_body(rfile, length)
             break
         except (http.client.HTTPException, OSError) as exc:
-            conn.close()
+            if conn is not None:
+                conn.close()
             # RemoteDisconnected is a ConnectionResetError.
-            if not (reused and resp is None and isinstance(
+            if not (reused and status is None and isinstance(
                     exc, (BrokenPipeError, ConnectionResetError))):
                 raise TransportError(f"{method} {url}: {exc!r}") from exc
-            conn = None
-    if resp.will_close:
-        conn.close()
+            conn, reused = None, False
+    if keep:
+        _keep_idle((address, conn))
     else:
-        _put_idle(address, conn)
-    return resp.status, reply, dict(resp.headers)
+        conn.close()
+    return status, reply, headers
 
 
 def _post(url: str, body: bytes, timeout: float) -> tuple[int, bytes, dict]:

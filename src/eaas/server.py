@@ -110,7 +110,8 @@ class ThrottleTable:
 
 class EntropyService:
     """Transport-agnostic request handling; the HTTP layer and the
-    in-process harness both drive this object."""
+    in-process harness both drive this object. It logs nothing: the HTTP
+    layer writes each entropy request's line once the reply is out."""
 
     def __init__(self, config: ServerConfig, ta: TrustedApplication,
                  clock: Clock = monotonic_clock_ms):
@@ -139,20 +140,15 @@ class EntropyService:
         allowed, retry_after = self._throttle.check(hint, self._clock())
         if not allowed:
             self._count("throttled")
-            log.info("throttled fp=%s retry_after=%ds",
-                     hint[:4].hex(), retry_after)
             return 429, b"throttled", {"Retry-After": str(retry_after)}
         reply = self._ta.ta_invoke(
             encode_command(TaCommand.HANDLE_REQUEST, body))
         status = TaStatus(reply[0])
         if status is TaStatus.OK:
             self._count("allowed")
-            log.info("served fp=%s bytes=%d", hint[:4].hex(),
-                     len(reply) - 1)
             return 200, reply[1:], {}
         http_status, token = STATUS_MAP[status]
         self._count("depleted" if http_status == 503 else "rejected")
-        log.info("refused fp=%s error=%s", hint[:4].hex(), token)
         return http_status, token.encode(), {}
 
     def handle_attest(self, body: bytes) -> tuple[int, bytes, dict]:
@@ -216,6 +212,19 @@ def build_service(config: ServerConfig,
                   clock: Clock | None = None) -> EntropyService:
     """The service of build_stack(config, clock)."""
     return build_stack(config, clock)[2]
+
+
+def _log_entropy(fp: str, status: int, reply: bytes, headers: dict) -> None:
+    """The INFO line of one entropy request: the hint's first 4 bytes in
+    hex, and the outcome."""
+    if status == 200:
+        log.info("served fp=%s bytes=%d", fp, len(reply))
+    elif status == 429:
+        log.info("throttled fp=%s retry_after=%ss", fp,
+                 headers.get("Retry-After"))
+    else:
+        log.info("refused fp=%s error=%s", fp,
+                 reply.decode("ascii", "replace"))
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -284,6 +293,10 @@ class _Handler(BaseHTTPRequestHandler):
         else:
             status, reply, headers = 404, b"not-found", {}
         self._reply(status, reply, headers)
+        # Logged once the reply is out, so the device does not wait for
+        # it. A body too short to hold a hint is not logged.
+        if self.path == "/v1/entropy" and len(body) >= wire.FINGERPRINT_LEN:
+            _log_entropy(body[:4].hex(), status, reply, headers)
 
     def log_message(self, fmt, *args):
         log.debug("http " + fmt, *args)

@@ -62,6 +62,11 @@ _PROLOGUE = struct.Struct(">4sBB")
 # with a u16-maximal public key.
 MAX_BODY_LEN = (FINGERPRINT_LEN + _PROLOGUE.size + 2 + 0xFFFF + 4 + 2
                 + SIGNATURE_LEN)
+# Longest HTTP reply body the formats can hold: a signed response
+# envelope with a u32-maximal ciphertext. A quote, a DER key or an error
+# token is shorter.
+MAX_REPLY_LEN = (_PROLOGUE.size + WRAPPED_KEY_LEN + NONCE_LEN + 4
+                 + 0xFFFFFFFF + 1 + SIGNATURE_LEN)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import http.client
 import os
 import socket
 import stat
+import subprocess
 import sys
 import threading
 from contextlib import contextmanager
@@ -534,6 +535,26 @@ class TestTransportErrors:
                        b"Connection: close\r\n\r\nabc",
                        http.client.IncompleteRead),
         "bad-status": (b"HTTP/1.1 abc\r\n\r\n", http.client.BadStatusLine),
+        "no-length": (b"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\nabc",
+                      http.client.HTTPException),
+        "bad-length": (b"HTTP/1.1 200 OK\r\nContent-Length: +3\r\n\r\nabc",
+                       http.client.HTTPException),
+        "huge-length": (b"HTTP/1.1 200 OK\r\n"
+                        b"Content-Length: 100000000000000\r\n\r\nabc",
+                        http.client.HTTPException),
+        "two-lengths": (b"HTTP/1.1 200 OK\r\nContent-Length: 3\r\n"
+                        b"Content-Length: 4\r\n\r\nabcd",
+                        http.client.HTTPException),
+        "chunked": (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+                    b"3\r\nabc\r\n0\r\n\r\n", http.client.HTTPException),
+        "long-header": (b"HTTP/1.1 200 OK\r\nX-Pad: "
+                        + b"a" * client_mod._MAX_LINE
+                        + b"\r\nContent-Length: 3\r\n\r\nabc",
+                        http.client.LineTooLong),
+        "many-headers": (b"HTTP/1.1 200 OK\r\n"
+                         + b"X-Pad: a\r\n" * client_mod._MAX_HEADERS
+                         + b"Content-Length: 3\r\n\r\nabc",
+                         http.client.HTTPException),
     }
 
     @pytest.mark.parametrize("reply", sorted(REPLIES))
@@ -675,10 +696,61 @@ class TestKeptAliveConnection:
         with pytest.raises(TransportError, match="only http://"):
             client_mod._post(url + "/v1/attest", b"", 1)
 
+    @pytest.mark.parametrize("url", [
+        "http://127.0.0.1:9/v1/a b", "http://127.0.0.1:9/v1/a\x00",
+        "http://127.0.0.1:9/v1/\x7f", "http://127.0.0.1:9/v1/\xe9",
+        "http://[::1/v1/attest", "http://127.0.0.1:99999/v1/attest"])
+    def test_malformed_urls_are_transport_errors(self, url):
+        with pytest.raises(TransportError) as exc:
+            client_mod._post(url, b"", 1)
+        assert isinstance(exc.value.__cause__, ValueError)
+
+
+_ONE_FETCH = """
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+from eaas import client
+from eaas.config import ServerConfig
+from eaas.server import TesServer
+from eaas.sources import SourceSpec
+
+server = TesServer(ServerConfig(
+    listen_host="127.0.0.1", listen_port=0, key_file=Path(sys.argv[1]),
+    sources=[SourceSpec("o", "os-random", Fraction(1), Fraction(1 << 20))]))
+server.start()
+try:
+    identity = client.provision(sys.argv[2],
+                                client.fetch_server_pubkey(server.url))
+    assert len(client.request_entropy(identity, server.url, 32)) == 32
+finally:
+    server.shutdown()
+"""
+
+
+def test_idle_connection_is_closed_at_exit(tmp_path, server_keypair,
+                                           client_keypair):
+    """One fetch under python -X dev, which reports every socket left
+    open: the SDK's kept connection is closed at exit."""
+    crypto.write_private_key(tmp_path / "server.der", server_keypair)
+    (tmp_path / "store").mkdir()
+    crypto.write_private_key(tmp_path / "store" / client_mod.CLIENT_KEY_FILE,
+                             client_keypair)
+    src = Path(client_mod.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-X", "dev", "-c", _ONE_FETCH,
+         str(tmp_path / "server.der"), str(tmp_path / "store")],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert "ResourceWarning: unclosed" not in result.stderr
+
 
 def test_one_http_path():
-    """eaas.client reaches HTTP through http.client alone, and makes a
-    connection in one function."""
+    """eaas.client imports no urllib.request, and opens connections in
+    one place: the one call in _exchange."""
     import ast
     tree = ast.parse(Path(client_mod.__file__).read_text())
     imported = {alias.name for node in ast.walk(tree)
@@ -687,14 +759,16 @@ def test_one_http_path():
                  if isinstance(node, ast.ImportFrom) and node.module}
     assert not any(name.startswith("urllib.request") for name in imported)
 
-    def connections_made(node) -> int:
-        return sum(isinstance(n, ast.Call) and "HTTPConnection" in (
-            getattr(n.func, "attr", None), getattr(n.func, "id", None))
-            for n in ast.walk(node))
+    def opens(node) -> bool:
+        return isinstance(node, ast.Call) and bool({
+            getattr(node.func, "attr", None), getattr(node.func, "id", None)}
+            & {"create_connection", "HTTPConnection", "HTTPSConnection",
+               "socket", "connect", "connect_ex", "urlopen"})
 
-    exchange, = [fn for fn in ast.walk(tree)
-                 if isinstance(fn, ast.FunctionDef) and fn.name == "_exchange"]
-    assert connections_made(tree) == connections_made(exchange) == 1
+    assert sum(map(opens, ast.walk(tree))) == 1
+    assert [fn.name for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef)
+            and any(map(opens, ast.walk(fn)))] == ["_exchange"]
 
 
 def test_one_seal_path():

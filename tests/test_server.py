@@ -49,6 +49,7 @@ from eaas.server import (
     ThrottleTable,
     _Handler,
     build_service,
+    build_stack,
     load_or_create_keypair,
 )
 from eaas.sources import SourceSpec, register_sources
@@ -742,10 +743,24 @@ class TestHttp:
 
 
 class TestLogHygiene:
+    """The server writes its per-request lines from the HTTP handler,
+    after the reply, so these drive a TesServer over HTTP."""
+
+    @staticmethod
+    def served_stack(server_keypair, capacity, refill=Fraction(1)):
+        """(pool, service, server) on server_keypair, on wall time; the
+        server is not started."""
+        config = ServerConfig(
+            listen_host="127.0.0.1", listen_port=0,
+            throttle_capacity=capacity, throttle_refill_rate=refill,
+            sources=[SourceSpec("o", "os-random", Fraction(1),
+                                Fraction(1 << 20))])
+        pool, _, service = build_stack(config, keypair=server_keypair)
+        return pool, service, TesServer(config, service=service)
+
     def test_no_entropy_or_keys_in_logs(self, server_keypair,
-                                        client_keypair, caplog):
-        clock, pool, _, service = make_stack(server_keypair,
-                                             capacity=Fraction(100))
+                                        client_keypair, caplog, tmp_path):
+        pool, _, server = self.served_stack(server_keypair, Fraction(100))
         extracted: list[bytes] = []
         original = pool.extract
 
@@ -755,18 +770,57 @@ class TestLogHygiene:
             return out
 
         pool.extract = recording_extract
+        identity = client_mod.ClientIdentity(
+            keypair=client_keypair, server_public=server_keypair.public,
+            store_path=tmp_path)
         with caplog.at_level(logging.DEBUG):
-            body = build_body(client_keypair, server_keypair.public)
-            clock.advance(1)
-            status, _, _ = service.handle_entropy(body)
-        assert status == 200
+            server.start()
+            try:
+                entropy = client_mod.request_entropy(identity, server.url,
+                                                     32)
+            finally:
+                server.shutdown()   # joins the handlers: every line is in
+        assert len(entropy) == 32
         assert extracted
         text = "\n".join(r.getMessage() for r in caplog.records)
+        assert "served fp=" in text
         secret_der = crypto.private_key_der(server_keypair)
-        for secret in extracted + [secret_der]:
+        for secret in extracted + [secret_der, entropy]:
             assert secret.hex() not in text
             import base64
             assert base64.b64encode(secret).decode() not in text
+
+    def test_one_info_line_per_entropy_request(self, server_keypair,
+                                               client_keypair, caplog):
+        """A 200, a 429 and a 400 each write one eaas.server INFO line
+        over HTTP, naming the hint's first 4 bytes; the service driven
+        in process writes none."""
+        _, service, server = self.served_stack(
+            server_keypair, Fraction(1), Fraction(1, 3600))
+        honest = build_body(client_keypair, server_keypair.public)
+        garbage = b"\x01" * 32 + b"request"
+        server.start()
+        caplog.set_level(logging.INFO, logger="eaas.server")
+        try:
+            replies = [client_mod._post(server.url + "/v1/entropy", body, 5)
+                       for body in (honest, honest, garbage)]
+        finally:
+            server.shutdown()   # joins the handlers: every line is in
+        assert [status for status, _, _ in replies] == [200, 429, 400]
+        fp = honest[:4].hex()
+        assert [(r.name, r.levelno, r.getMessage())
+                for r in caplog.records] == [
+            ("eaas.server", logging.INFO,
+             f"served fp={fp} bytes={len(replies[0][1])}"),
+            ("eaas.server", logging.INFO,
+             f"throttled fp={fp} "
+             f"retry_after={replies[1][2]['Retry-After']}s"),
+            ("eaas.server", logging.INFO,
+             "refused fp=01010101 error=malformed")]
+        caplog.clear()
+        assert service.handle_entropy(b"\x02" * 32 + b"request")[0] == 400
+        assert service.handle_entropy(honest)[0] == 429
+        assert caplog.records == []
 
 
 class TestWorkClock:
